@@ -128,14 +128,13 @@ func BenchmarkReplayFusedSW9(b *testing.B) {
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kn.Reset()
 		kn.ReplayBernoulli(rng, 0.4, n, 0)
 	}
 }
 
-// BenchmarkReplayStream measures the streaming replay path used for
-// policies without a fused kernel: ops come straight from the RNG, the
-// schedule is never materialized.
+// BenchmarkReplayStream measures the generic streaming replay path, the
+// one policies without a fused kernel take: ops come straight from the
+// RNG, the schedule is never materialized.
 func BenchmarkReplayStream(b *testing.B) {
 	m := cost.NewMessage(0.5)
 	const n = 100000
@@ -178,16 +177,16 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 		{"SW1/conn", mustKernel(t, core.NewSW(1), cost.NewConnection())},
 		{"ST1/conn", mustKernel(t, core.NewST1(), cost.NewConnection())},
 		{"ST2/msg", mustKernel(t, core.NewST2(), cost.NewMessage(0.3))},
+		{"T1(3)/conn", mustKernel(t, core.NewT1(3), cost.NewConnection())},
+		{"T2(3)/msg", mustKernel(t, core.NewT2(3), cost.NewMessage(0.5))},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
-			tc.kn.Reset()
 			tc.kn.ReplayBernoulli(rng, 0.4, 5000, 100)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: ReplayBernoulli allocated %.0f times per run, want 0", tc.name, allocs)
 		}
 		allocs = testing.AllocsPerRun(10, func() {
-			tc.kn.Reset()
 			tc.kn.ReplayDrifting(rng, 20, 250)
 		})
 		if allocs != 0 {

@@ -11,6 +11,20 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
+# Core-count slice: the packed policy step, the fused kernels and the
+# tree placement tables at one proc and at four, and the attach admission
+# tests at 1, 2, 4 and 8, so a dependence on the machine's core count
+# cannot come back unseen. The fused kernels' speed rests on the packed
+# step inlining into each loop; the compiler's own report proves it.
+for p in 1 4; do
+    GOMAXPROCS=$p go test -count=1 ./internal/core ./internal/sim ./internal/tree
+done
+for p in 1 2 4 8; do
+    GOMAXPROCS=$p go test -count=5 -run TestTryAttach ./internal/replica/
+done
+test "$(go build -gcflags=-m ./internal/sim 2>&1 |
+    grep -cE 'inlining call to core\.\(\*Rule\)\.Step(SW|T1|T2|Static)$')" -eq 4
+
 # Protocol conformance under fault injection: a focused race-detector
 # slice, then fixed-seed smoke replays of frozen regression schedules —
 # one per generator generation — to prove seed replay works end to end.

@@ -6,7 +6,7 @@ package replica
 //
 //   - Too many clients: TryAttach refuses attaches past MaxSessions with
 //     a Busy("full") frame instead of accepting state it cannot afford.
-//   - Too many at once: a per-shard token bucket caps the attach rate, so
+//   - Too many at once: a server-wide token bucket caps the attach rate, so
 //     a flash crowd is smeared out with Busy("rate") refusals rather than
 //     serialized into a convoy behind the shard tokens.
 //   - Too much retained state: a soft memory watermark (SetMemSoftLimit)
@@ -41,14 +41,13 @@ type AdmissionConfig struct {
 	// MaxSessions caps concurrently attached sessions server-wide; at the
 	// cap new attaches are refused with Busy("full"). Zero means no cap.
 	MaxSessions int
-	// AttachRate caps attaches per second server-wide, enforced as an
-	// AttachRate/shards token bucket per shard (the shard is chosen by
-	// the would-be session's attach ID, so the buckets see the same
-	// uniform split the sessions do). Zero means no rate limit.
+	// AttachRate caps attaches per second server-wide, enforced by one
+	// token bucket for the whole server, whatever its shard count. Zero
+	// means no rate limit.
 	AttachRate float64
-	// AttachBurst is the server-wide bucket depth: how many attaches may
-	// land back-to-back before the rate gates. Zero defaults to one
-	// second's worth of AttachRate (minimum one per shard).
+	// AttachBurst is the bucket depth: how many attaches may land
+	// back-to-back before the rate gates. Zero defaults to one second's
+	// worth of AttachRate (minimum one).
 	AttachBurst int
 	// RetryAfter is the hint carried in Busy frames. Zero defaults to
 	// one second.
@@ -69,6 +68,13 @@ func (cfg AdmissionConfig) validate() error {
 		return fmt.Errorf("replica: admission retry-after %v must be non-negative", cfg.RetryAfter)
 	}
 	return nil
+}
+
+func (cfg AdmissionConfig) attachBurst() float64 {
+	if cfg.AttachBurst > 0 {
+		return float64(cfg.AttachBurst)
+	}
+	return max(cfg.AttachRate, 1)
 }
 
 func (cfg AdmissionConfig) retryAfter() time.Duration {
@@ -118,7 +124,7 @@ func (s *Server) Admission() AdmissionConfig {
 }
 
 // TryAttach is Attach behind admission control: the session cap and the
-// per-shard attach-rate bucket. A refused client is answered with a
+// attach-rate bucket. A refused client is answered with a
 // wire.KindBusy frame — reason "full" or "rate", retry-after hint in
 // milliseconds — its link is closed, and TryAttach returns ErrServerBusy.
 // No attach is ever silently dropped: the client always learns whether
@@ -137,22 +143,33 @@ func (s *Server) TryAttach(link transport.Link) (*Session, error) {
 	}
 	id := s.nextID.Add(1)
 	if cfg.AttachRate > 0 {
-		shards := float64(len(s.shards))
-		burst := float64(cfg.AttachBurst) / shards
-		if burst < 1 {
-			burst = cfg.AttachRate / shards
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		sh := s.shards[sessionShard(id, len(s.shards))]
-		if !sh.allowAttach(cfg.AttachRate/shards, burst, s.clock()()) {
+		if !s.allowAttach(cfg.AttachRate, cfg.attachBurst(), s.clock()()) {
 			s.nSessions.Add(-1)
 			s.rejectAttach(link, "rate", cfg.retryAfter())
 			return nil, ErrServerBusy
 		}
 	}
 	return s.attachSession(id, link), nil
+}
+
+// allowAttach takes one token from the server's attach bucket, refilled
+// at rate tokens/sec up to burst. The first call finds a full bucket.
+// Attach is not the read hot path, so one lock for the whole server
+// costs nothing measurable and keeps both knobs exact.
+func (s *Server) allowAttach(rate, burst float64, now time.Time) bool {
+	s.tbMu.Lock()
+	defer s.tbMu.Unlock()
+	if s.tbLast.IsZero() {
+		s.tbTokens = burst
+	} else {
+		s.tbTokens = min(s.tbTokens+now.Sub(s.tbLast).Seconds()*rate, burst)
+	}
+	s.tbLast = now
+	if s.tbTokens < 1 {
+		return false
+	}
+	s.tbTokens--
+	return true
 }
 
 // rejectAttach answers a refused client with Busy and closes its link.

@@ -145,6 +145,34 @@ func TestTryAttachRateBucketRefusesAndRefills(t *testing.T) {
 	}
 }
 
+// TestTryAttachBurstIsServerWide: the bucket depth is AttachBurst for
+// the whole server, not per shard, so an 8-shard server admits exactly
+// AttachBurst attaches back-to-back, whichever shards their ids pick.
+func TestTryAttachBurstIsServerWide(t *testing.T) {
+	srv, err := NewServerShards(db.NewStore(), SW(3), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	srv.SetClock(func() time.Time { return now })
+	const burst = 3
+	if err := srv.SetAdmission(AdmissionConfig{AttachRate: 1, AttachBurst: burst}); err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for i := 0; i < 4*burst; i++ {
+		a, _ := transport.NewMemPair()
+		if _, err := srv.TryAttach(a); err == nil {
+			admitted++
+		} else if err != ErrServerBusy {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+	}
+	if admitted != burst {
+		t.Fatalf("admitted %d back-to-back attaches on 8 shards, want AttachBurst = %d", admitted, burst)
+	}
+}
+
 func TestEvictSendsBusyThenDetaches(t *testing.T) {
 	srv, err := NewServer(db.NewStore(), SW(3))
 	if err != nil {

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -234,9 +235,11 @@ func (ss *Session) onBatch(b wire.Batch) {
 // the origin hook on a relay — and calls finish with the items once all
 // have resolved. Any failed origin fetch drops the whole request (to the
 // client, a lost frame). The batch's memory is owned (wire.DecodeBatch
-// copies), so retaining b in the continuation is safe. The version hints
-// double as fetch floors: the client has seen the hinted version, so the
-// origin must not answer below it.
+// copies), so retaining b in the continuation is safe. An origin item's
+// value may alias the delivery that carried it, which the transport
+// reuses once its handler returns, so fetchAll keeps a clone until the
+// last key arrives. The version hints double as fetch floors: the client
+// has seen the hinted version, so the origin must not answer below it.
 func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.Item)) {
 	items := make([]db.Item, len(b.Keys))
 	o := ss.srv.origin.Load()
@@ -258,6 +261,7 @@ func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.I
 		i := i
 		(*o)(key, floor, func(it db.Item, ok bool) {
 			if ok {
+				it.Value = bytes.Clone(it.Value)
 				items[i] = it
 			} else {
 				failed.Store(true)

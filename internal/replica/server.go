@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,6 +34,10 @@ type Server struct {
 	nSessions atomic.Int64
 	admission atomic.Pointer[AdmissionConfig]
 	memSoft   atomic.Int64
+	// The attach-rate token bucket, guarded by tbMu.
+	tbMu     sync.Mutex
+	tbTokens float64
+	tbLast   time.Time
 
 	// Tree hooks (relay.go). origin, when set, intercepts every read-path
 	// store fetch so a relay station can pull the value from its parent;

@@ -2,11 +2,13 @@ package sim
 
 // Fused replay kernels. The generic Replay/ReplayStream loop pays two
 // interface dispatches per request (Policy.Apply and Model.StepCost) plus
-// Step-struct traffic between them. For the hot policies of the paper's
-// sweeps — the sliding-window family and the two statics — and the two
-// paper cost models, the kernels below fuse policy transition, pricing and
-// ledger bookkeeping into one monomorphic loop with zero allocations and
-// zero dynamic dispatch per request.
+// Step-struct traffic between them. For the seven policies of the paper's
+// sweeps — SWk (k <= 64), T1m, T2m, ST1 and ST2 — and the two paper cost
+// models, the kernels below run the packed core.Rule step instead: one
+// monomorphic loop per rule that draws the request, steps the packed
+// state without branching on it, prices the step from a 16-entry table
+// and counts it in a per-index histogram. The ledger and the transition
+// counters are derived from the histogram once, at the end.
 //
 // Correctness is pinned by TestKernelEquivalence: on identical schedules a
 // kernel's Result must equal the generic Replay's field for field,
@@ -22,283 +24,170 @@ import (
 	"mobirep/internal/stats"
 )
 
-// stepCosts are the four distinct per-request prices a fused policy can
-// incur; they are precomputed once per kernel so the inner loop only adds.
-// The values mirror cost.Connection.StepCost and cost.Message.StepCost.
-type stepCosts struct {
-	// readMiss prices a read with no copy at the MC.
-	readMiss float64
-	// writeKeep prices a write that finds a copy and leaves it in place.
-	writeKeep float64
-	// writeDealloc prices a write that finds a copy and deallocates it.
-	writeDealloc float64
-	// writeSuppressed prices SW1's delete-request-only write.
-	writeSuppressed float64
-}
-
-// kernelCosts folds a cost model into stepCosts; ok is false for models
-// the kernels do not know (custom models fall back to the generic path).
-func kernelCosts(m cost.Model) (stepCosts, bool) {
-	switch mm := m.(type) {
-	case cost.Connection:
-		return stepCosts{readMiss: 1, writeKeep: 1, writeDealloc: 1, writeSuppressed: 1}, true
-	case cost.Message:
-		return stepCosts{
-			readMiss:        1 + mm.Omega,
-			writeKeep:       1,
-			writeDealloc:    1 + mm.Omega,
-			writeSuppressed: mm.Omega,
-		}, true
-	}
-	return stepCosts{}, false
-}
-
-type kernelKind uint8
-
-const (
-	kernelSW kernelKind = iota
-	kernelST1
-	kernelST2
-)
-
 // Kernel is a fused replay engine bound to one policy and one cost model.
-// It owns its window state, so it is not safe for concurrent use; the
-// estimators build one per trial (a single small allocation per trial,
-// none per request). Replay methods Reset the kernel first, so a Kernel
-// is reusable across trials.
+// It holds only tables fixed at construction, so one Kernel may serve
+// concurrent replays; the estimators share one across their trials.
 type Kernel struct {
-	kind  kernelKind
-	costs stepCosts
+	rule  core.Rule
+	model cost.Model
+	// price[i] is the model's cost of a step with index i.
+	price [core.NumStepIndices]float64
+}
 
-	// Sliding-window state, mirroring core.Window with an all-writes
-	// initial fill (the NewSW default).
-	k       int
-	bits    []bool
-	head    int
-	writes  int
-	hasCopy bool
-	// sw1 marks the k==1 delete-request optimization: a write that finds
-	// a copy is priced as a bare control message.
-	sw1 bool
+// tally accumulates the priced steps of one replay.
+type tally struct {
+	hist  [core.NumStepIndices]int
+	total float64
 }
 
 // NewKernel returns a fused kernel replaying policy p under m, or ok=false
-// when no fused path exists: the policy is not one of SW (with the default
-// all-writes initial window), ST1 or ST2, or the model is not one of the
-// paper's two. Callers keep the generic path in that case.
+// when no fused path exists: p has no packed rule (see core.RuleOf), or
+// the model is not one of the paper's two. Callers keep the generic path
+// in that case. Replays start from p's reset state, whatever state p is
+// in now.
 func NewKernel(p core.Policy, m cost.Model) (*Kernel, bool) {
-	costs, ok := kernelCosts(m)
+	switch m.(type) {
+	case cost.Connection, cost.Message:
+	default:
+		// A custom model may price a step by more than its index.
+		return nil, false
+	}
+	rule, ok := core.RuleOf(p)
 	if !ok {
 		return nil, false
 	}
-	switch q := p.(type) {
-	case *core.ST1:
-		return &Kernel{kind: kernelST1, costs: costs}, true
-	case *core.ST2:
-		return &Kernel{kind: kernelST2, costs: costs}, true
-	case *core.SW:
-		// Only the default initial window (all writes, no copy) is fused;
-		// NewSWInitial variants keep the generic path.
-		if q.HasCopy() || q.Window().Writes() != q.K() {
-			return nil, false
-		}
-		kn := &Kernel{
-			kind:  kernelSW,
-			costs: costs,
-			k:     q.K(),
-			bits:  make([]bool, q.K()),
-			sw1:   q.K() == 1,
-		}
-		kn.Reset()
-		return kn, true
+	kn := &Kernel{rule: rule, model: m}
+	for i := range kn.price {
+		kn.price[i] = m.StepCost(core.StepIndex(i).Step())
 	}
-	return nil, false
-}
-
-// Reset restores the initial state: an all-writes window and no copy.
-func (kn *Kernel) Reset() {
-	for i := range kn.bits {
-		kn.bits[i] = true
-	}
-	kn.head = 0
-	kn.writes = kn.k
-	kn.hasCopy = false
+	return kn, true
 }
 
 // ReplayBernoulli replays n i.i.d. Bernoulli(theta) requests drawn from
 // rng, pricing all but the first warmup. It consumes rng exactly like
 // workload.Bernoulli, so it reproduces Replay on that schedule bit for
-// bit. The kernel is Reset first.
+// bit.
 func (kn *Kernel) ReplayBernoulli(rng *stats.RNG, theta float64, n, warmup int) Result {
-	kn.Reset()
 	start := time.Now()
-	var res Result
-	switch kn.kind {
-	case kernelST1:
-		res = kn.replayST1(rng, theta, 0, n, warmup)
-	case kernelST2:
-		res = kn.replayST2(rng, theta, 0, n, warmup)
-	default:
-		res = kn.replaySW(rng, theta, 0, n, warmup)
-	}
-	recordReplay(kn.kind, res.Ops, time.Since(start))
+	warmup = min(max(warmup, 0), n)
+	var warm, t tally
+	s := kn.run(rng, kn.rule.Initial(), theta, warmup, &warm)
+	kn.run(rng, s, theta, n-warmup, &t)
+	res := kn.result(&t)
+	recordReplay(kn.rule.Kind(), res.Ops, time.Since(start))
 	return res
 }
 
 // ReplayDrifting replays the section 3 period model — theta redrawn
 // uniformly per period — consuming rng exactly like workload.Drifting.
-// The kernel is Reset first.
 func (kn *Kernel) ReplayDrifting(rng *stats.RNG, periods, opsPerPeriod int) Result {
-	kn.Reset()
-	n := periods * opsPerPeriod
 	start := time.Now()
-	var res Result
-	switch kn.kind {
-	case kernelST1:
-		res = kn.replayST1(rng, 0, opsPerPeriod, n, 0)
-	case kernelST2:
-		res = kn.replayST2(rng, 0, opsPerPeriod, n, 0)
-	default:
-		res = kn.replaySW(rng, 0, opsPerPeriod, n, 0)
+	var t tally
+	if opsPerPeriod > 0 {
+		s := kn.rule.Initial()
+		for p := 0; p < periods; p++ {
+			s = kn.run(rng, s, rng.Float64(), opsPerPeriod, &t)
+		}
 	}
-	recordReplay(kn.kind, res.Ops, time.Since(start))
+	res := kn.result(&t)
+	recordReplay(kn.rule.Kind(), res.Ops, time.Since(start))
 	return res
 }
 
-// replaySW is the fused inner loop for the sliding-window family. A
-// drift period of 0 means fixed theta; otherwise theta is redrawn every
-// drift requests, starting with the first.
-func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	left := 0
-	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-
-		// Slide the window (core.Window.Push inlined).
-		had := kn.hasCopy
-		if kn.bits[kn.head] {
-			kn.writes--
-		}
-		kn.bits[kn.head] = isWrite
-		if isWrite {
-			kn.writes++
-		}
-		kn.head++
-		if kn.head == len(kn.bits) {
-			kn.head = 0
-		}
-		has := kn.k-kn.writes > kn.writes
-		kn.hasCopy = has
-
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Steps++
-		if had {
-			res.CopySteps++
-		}
-		if has != had {
-			if has {
-				res.Allocations++
-			} else {
-				res.Deallocations++
-			}
-		}
-		if isWrite {
-			if had {
-				res.Ledger.Connections++
-				switch {
-				case kn.sw1:
-					// The delete-request optimization: no data message.
-					res.Ledger.Total += c.writeSuppressed
-					res.Ledger.ControlMessages++
-				case !has:
-					res.Ledger.Total += c.writeDealloc
-					res.Ledger.DataMessages++
-					res.Ledger.ControlMessages++
-				default:
-					res.Ledger.Total += c.writeKeep
-					res.Ledger.DataMessages++
-				}
-			}
-		} else if !had {
-			res.Ledger.Total += c.readMiss
-			res.Ledger.Connections++
-			res.Ledger.ControlMessages++
-			res.Ledger.DataMessages++
-		}
+// run steps s through n requests of write share theta drawn from rng,
+// tallying each, and returns the final state.
+func (kn *Kernel) run(rng *stats.RNG, s core.Packed, theta float64, n int, t *tally) core.Packed {
+	switch kn.rule.Kind() {
+	case core.RuleSW:
+		return kn.runSW(rng, s, theta, n, t)
+	case core.RuleT1:
+		return kn.runT1(rng, s, theta, n, t)
+	case core.RuleT2:
+		return kn.runT2(rng, s, theta, n, t)
 	}
-	res.Cost = res.Ledger.Total
-	return res
+	return kn.runStatic(rng, s, theta, n, t)
 }
 
-// replayST1 is the fused loop for the static one-copy method: the MC
-// never holds a copy, so only read misses cost anything.
-func (kn *Kernel) replayST1(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	left := 0
+// The four loops below differ only in the step they call, so that each
+// step inlines. Each works on local copies of the RNG and the running
+// total, stored back once at the end, and draws every request as
+// r.Float64() < theta, exactly as workload.Bernoulli.
+
+func (kn *Kernel) runSW(rng *stats.RNG, s core.Packed, theta float64, n int, t *tally) core.Packed {
+	r, rule, total := *rng, &kn.rule, t.total
+	var idx core.StepIndex
 	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Steps++
-		if !isWrite {
-			res.Ledger.Total += c.readMiss
-			res.Ledger.Connections++
-			res.Ledger.ControlMessages++
-			res.Ledger.DataMessages++
-		}
+		s, idx = rule.StepSW(s, core.Bit(r.Float64() < theta))
+		t.hist[idx]++
+		total += kn.price[idx]
 	}
-	res.Cost = res.Ledger.Total
-	return res
+	*rng, t.total = r, total
+	return s
 }
 
-// replayST2 is the fused loop for the static two-copies method: every
-// request finds a copy, reads are free, writes propagate.
-func (kn *Kernel) replayST2(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	left := 0
+func (kn *Kernel) runT1(rng *stats.RNG, s core.Packed, theta float64, n int, t *tally) core.Packed {
+	r, rule, total := *rng, &kn.rule, t.total
+	var idx core.StepIndex
 	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-		if i < warmup {
+		s, idx = rule.StepT1(s, core.Bit(r.Float64() < theta))
+		t.hist[idx]++
+		total += kn.price[idx]
+	}
+	*rng, t.total = r, total
+	return s
+}
+
+func (kn *Kernel) runT2(rng *stats.RNG, s core.Packed, theta float64, n int, t *tally) core.Packed {
+	r, rule, total := *rng, &kn.rule, t.total
+	var idx core.StepIndex
+	for i := 0; i < n; i++ {
+		s, idx = rule.StepT2(s, core.Bit(r.Float64() < theta))
+		t.hist[idx]++
+		total += kn.price[idx]
+	}
+	*rng, t.total = r, total
+	return s
+}
+
+func (kn *Kernel) runStatic(rng *stats.RNG, s core.Packed, theta float64, n int, t *tally) core.Packed {
+	r, rule, total := *rng, &kn.rule, t.total
+	var idx core.StepIndex
+	for i := 0; i < n; i++ {
+		s, idx = rule.StepStatic(s, core.Bit(r.Float64() < theta))
+		t.hist[idx]++
+		total += kn.price[idx]
+	}
+	*rng, t.total = r, total
+	return s
+}
+
+// result derives the Result of a replay from its tally: every field but
+// the total is a per-index count times what one step of that index
+// contributes, as cost.Ledger.Observe and Replay account it.
+func (kn *Kernel) result(t *tally) Result {
+	res := Result{Cost: t.total}
+	res.Ledger.Total = t.total
+	for i, n := range t.hist {
+		if n == 0 {
 			continue
 		}
-		res.Ops++
-		res.Ledger.Steps++
-		res.CopySteps++
-		if isWrite {
-			res.Ledger.Total += c.writeKeep
-			res.Ledger.Connections++
-			res.Ledger.DataMessages++
+		st := core.StepIndex(i).Step()
+		var one cost.Ledger
+		one.Observe(kn.model, st)
+		res.Ops += n
+		res.Ledger.Steps += n
+		res.Ledger.DataMessages += n * one.DataMessages
+		res.Ledger.ControlMessages += n * one.ControlMessages
+		res.Ledger.Connections += n * one.Connections
+		if st.HadCopy {
+			res.CopySteps += n
+		}
+		if st.Allocated() {
+			res.Allocations += n
+		}
+		if st.Deallocated() {
+			res.Deallocations += n
 		}
 	}
-	res.Cost = res.Ledger.Total
 	return res
 }

@@ -25,7 +25,14 @@ func kernelPolicies() []Factory {
 		func() core.Policy { return core.NewSW(1) },
 		func() core.Policy { return core.NewSW(3) },
 		func() core.Policy { return core.NewSW(9) },
-		func() core.Policy { return core.NewSW(95) },
+		// The largest fusable window: core.SW takes odd k only, so the
+		// k = 64 boundary of the packed step is pinned in core's tests.
+		func() core.Policy { return core.NewSW(63) },
+		func() core.Policy { return core.NewT1(1) },
+		func() core.Policy { return core.NewT1(3) },
+		func() core.Policy { return core.NewT2(1) },
+		func() core.Policy { return core.NewT2(3) },
+		func() core.Policy { return core.NewT2(7) },
 	}
 }
 
@@ -76,11 +83,20 @@ func TestKernelEquivalenceDrifting(t *testing.T) {
 	}
 }
 
-// TestKernelRejectsUnknown pins the fallback: non-fusable policies and
-// models must keep the generic path.
+// TestKernelRejectsUnknown pins which policies and models are fused and
+// which keep the generic path.
 func TestKernelRejectsUnknown(t *testing.T) {
-	if _, ok := NewKernel(core.NewT1(3), cost.NewConnection()); ok {
-		t.Fatal("T1 must not get a fused kernel")
+	if _, ok := NewKernel(core.NewT1(3), cost.NewConnection()); !ok {
+		t.Fatal("T1 must get a fused kernel")
+	}
+	if _, ok := NewKernel(core.NewT2(3), cost.NewMessage(0.5)); !ok {
+		t.Fatal("T2 must get a fused kernel")
+	}
+	// The packed window is one uint64.
+	for _, k := range []int{65, 95} {
+		if _, ok := NewKernel(core.NewSW(k), cost.NewConnection()); ok {
+			t.Fatalf("SW%d must not get a fused kernel", k)
+		}
 	}
 	if _, ok := NewKernel(core.NewEWMA(0.5), cost.NewMessage(0.5)); ok {
 		t.Fatal("EWMA must not get a fused kernel")
@@ -181,6 +197,35 @@ func TestSchedulePoolRoundTrip(t *testing.T) {
 	PutSchedule(nil) // must not panic
 }
 
+// BenchmarkKernelReplay reports the fused kernels' speed per policy of the
+// sim-replay sweep, in ns per replayed request: 100k Bernoulli(0.4)
+// requests under the message model (omega = 0.5), warm-up included.
+//
+//	go test -run '^$' -bench BenchmarkKernelReplay ./internal/sim
+func BenchmarkKernelReplay(b *testing.B) {
+	const n = 100_000
+	m := cost.NewMessage(0.5)
+	for _, name := range []string{"SW1", "SW3", "SW9", "T1(3)", "T2(3)", "ST1", "ST2"} {
+		f, err := ParsePolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			kn, ok := NewKernel(f(), m)
+			if !ok {
+				b.Fatalf("%s: no fused kernel", name)
+			}
+			rng := stats.NewRNG(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kn.ReplayBernoulli(rng, 0.4, n, 1000)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/request")
+		})
+	}
+}
+
 // BenchmarkRecordReplay prices the per-Replay instrumentation: two
 // clock reads around the fused loop plus recordReplay's counter adds
 // and one histogram observation. The acceptance budget is <5% of a
@@ -190,6 +235,6 @@ func BenchmarkRecordReplay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		recordReplay(kernelSW, 100_000, time.Since(start))
+		recordReplay(core.RuleSW, 100_000, time.Since(start))
 	}
 }

@@ -10,6 +10,7 @@ package sim
 import (
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/obs"
 )
 
@@ -26,11 +27,11 @@ var (
 	gFanActive = simReg.Gauge("mobirep_sim_fan_active_participants",
 		"Participants currently inside a Fan work loop.")
 
-	mReplays   [3]*obs.Counter // by kernelKind
-	mReplayOps [3]*obs.Counter
+	mReplays   [core.NumRuleKinds]*obs.Counter // by core.RuleKind
+	mReplayOps [core.NumRuleKinds]*obs.Counter
 
 	// Replay speed in nanoseconds per request, amortized over one Replay
-	// call. The fused kernels sit around 5-20 ns/op; the bucket ladder
+	// call. The fused kernels sit around 4-15 ns/op; the bucket ladder
 	// climbs to 4 us so a catastrophic regression still lands inside it.
 	hReplayNsPerOp = simReg.Histogram("mobirep_sim_replay_ns_per_op",
 		"Nanoseconds per replayed request, one observation per Replay call.",
@@ -38,21 +39,27 @@ var (
 )
 
 func init() {
-	names := [3]string{"sw", "st1", "st2"}
-	for i, kind := range names {
+	kinds := []struct {
+		kind core.RuleKind
+		name string
+	}{
+		{core.RuleSW, "sw"}, {core.RuleST1, "st1"}, {core.RuleST2, "st2"},
+		{core.RuleT1, "t1"}, {core.RuleT2, "t2"},
+	}
+	for i, k := range kinds {
 		help, opsHelp := "", ""
 		if i == 0 {
 			help = "Fused kernel replays, by kernel kind."
 			opsHelp = "Requests replayed by fused kernels, by kernel kind."
 		}
-		mReplays[i] = simReg.Counter(`mobirep_sim_replays_total{kind="`+kind+`"}`, help)
-		mReplayOps[i] = simReg.Counter(`mobirep_sim_replay_ops_total{kind="`+kind+`"}`, opsHelp)
+		mReplays[k.kind] = simReg.Counter(`mobirep_sim_replays_total{kind="`+k.name+`"}`, help)
+		mReplayOps[k.kind] = simReg.Counter(`mobirep_sim_replay_ops_total{kind="`+k.name+`"}`, opsHelp)
 	}
 }
 
 // recordReplay accounts one finished Replay call: n priced requests in
 // elapsed wall time on the kernel of the given kind.
-func recordReplay(kind kernelKind, n int, elapsed time.Duration) {
+func recordReplay(kind core.RuleKind, n int, elapsed time.Duration) {
 	mReplays[kind].Inc()
 	if n <= 0 {
 		return

@@ -112,12 +112,11 @@ func (o *ExpectedOpts) fill() {
 // per-trial means, so its CI95 bounds the estimate of the mean.
 func EstimateExpected(f Factory, m cost.Model, opts ExpectedOpts) stats.Summary {
 	opts.fill()
-	_, fused := NewKernel(f(), m)
+	kn, fused := NewKernel(f(), m)
 	results := parallelTrials(opts.Trials, func(trial int) float64 {
 		rng := stats.NewRNG(opts.Seed + uint64(trial)*0x9e3779b9)
 		n := opts.Warmup + opts.Ops
 		if fused {
-			kn, _ := NewKernel(f(), m)
 			return kn.ReplayBernoulli(rng, opts.Theta, n, opts.Warmup).PerOp()
 		}
 		src := NewBernoulliStream(rng, opts.Theta)
@@ -162,11 +161,10 @@ func (o *AverageOpts) fill() {
 // average expected cost integral.
 func EstimateAverage(f Factory, m cost.Model, opts AverageOpts) stats.Summary {
 	opts.fill()
-	_, fused := NewKernel(f(), m)
+	kn, fused := NewKernel(f(), m)
 	results := parallelTrials(opts.Trials, func(trial int) float64 {
 		rng := stats.NewRNG(opts.Seed + uint64(trial)*0x9e3779b9)
 		if fused {
-			kn, _ := NewKernel(f(), m)
 			return kn.ReplayDrifting(rng, opts.Periods, opts.OpsPerPeriod).PerOp()
 		}
 		src := NewDriftingStream(rng, opts.OpsPerPeriod)

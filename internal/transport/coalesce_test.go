@@ -207,10 +207,15 @@ func TestTCPWriteFailureShutsLinkDown(t *testing.T) {
 	closed := make(chan error, 1)
 	link.Start(func(err error) { closed <- err })
 
-	// Sever the connection under the link, then write until the failure
-	// shows (the first few sends may land in socket buffers).
+	// Sever the write half under the link, then write until the failure
+	// shows. The peer stays open: closing it instead lets the read loop
+	// see EOF first, and the link then dies as a clean shutdown before
+	// any write has failed.
 	srvConn := <-accepted
-	srvConn.Close()
+	defer srvConn.Close()
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
 	payload := bytes.Repeat([]byte{1}, 1<<16)
 	var sendErr error
 	for i := 0; i < 100 && sendErr == nil; i++ {
@@ -223,11 +228,15 @@ func TestTCPWriteFailureShutsLinkDown(t *testing.T) {
 	if err := link.Send([]byte("x")); err != ErrClosed {
 		t.Fatalf("link still alive after write failure: %v", err)
 	}
-	// And the close callback reports a reason, not a clean shutdown.
+	// And the close callback reports the write error as the reason, not a
+	// clean shutdown.
 	select {
 	case err := <-closed:
 		if err == nil {
 			t.Fatal("onClose reported clean shutdown after a write failure")
+		}
+		if err != sendErr {
+			t.Fatalf("onClose reported %v, want the write error %v", err, sendErr)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("close callback never fired")

@@ -3,6 +3,8 @@ package tree
 import (
 	"fmt"
 	"strings"
+
+	"mobirep/internal/core"
 )
 
 // Per-key replica placement. The edge protocol decides where copies MAY
@@ -16,11 +18,12 @@ import (
 // it only ever removes copies, so it shifts cost, never correctness.
 //
 // The table is packed as a struct-of-arrays: one map lookup resolves a
-// key to a row, and a row is a 64-bit window word, a ring head, a
-// counter, and one bit in a hold bitset — four parallel arrays that stay
-// cache-resident at fleet-scale key counts, instead of one heap-
-// allocated core.Window or core.T1 per (station, key). placement_test.go
-// proves every transition bit-equivalent to the internal/core originals.
+// key to a row, and a row is one core.Packed state — a 64-bit window
+// word, a counter, and one bit in a hold bitset — in three parallel
+// arrays that stay cache-resident at fleet-scale key counts, instead of
+// one heap-allocated core.Window or core.T1 per (station, key). Every
+// transition is the packed core.Rule step the simulator's kernels run;
+// placement_test.go proves it equivalent to the internal/core policies.
 
 // PolicyKind selects the placement algorithm.
 type PolicyKind uint8
@@ -89,42 +92,50 @@ func (p Policy) String() string {
 	return "?"
 }
 
-// Validate checks the parameter range. SW windows must fit the packed
-// 64-bit row; the paper's experiments stop at k=9, so 64 is generous.
+// Validate checks the parameter range: SW windows must fit the packed
+// 64-bit row (the paper's experiments stop at k=9, so 64 is generous),
+// and T* thresholds must be positive.
 func (p Policy) Validate() error {
-	switch p.Kind {
-	case PolicyNone:
-		return nil
-	case PolicySW:
-		if p.K < 1 || p.K > 64 {
-			return fmt.Errorf("tree: SW placement window %d outside [1, 64]", p.K)
-		}
-		return nil
-	case PolicyT1, PolicyT2:
-		if p.K < 1 {
-			return fmt.Errorf("tree: T* placement threshold %d must be positive", p.K)
-		}
+	if p.Kind == PolicyNone {
 		return nil
 	}
-	return fmt.Errorf("tree: unknown placement kind %d", p.Kind)
+	_, err := p.rule()
+	return err
+}
+
+// rule is the packed core rule a placement policy runs.
+func (p Policy) rule() (core.Rule, error) {
+	var kind core.RuleKind
+	switch p.Kind {
+	case PolicySW:
+		kind = core.RuleSW
+	case PolicyT1:
+		kind = core.RuleT1
+	case PolicyT2:
+		kind = core.RuleT2
+	default:
+		return core.Rule{}, fmt.Errorf("tree: unknown placement kind %d", p.Kind)
+	}
+	r, err := core.NewRule(kind, p.K)
+	if err != nil {
+		return core.Rule{}, fmt.Errorf("tree: placement %v: %w", p, err)
+	}
+	return r, nil
 }
 
 // Table is the packed per-key placement state for one station. Not
 // goroutine-safe; the owning station serializes access.
 type Table struct {
-	pol Policy
-	ids map[string]uint32
+	pol  Policy
+	rule core.Rule // unset for PolicyNone
+	ids  map[string]uint32
 
-	// Parallel per-row arrays. For SW: bits is the window ring (bit set =
-	// write; K low bits in use), head the ring index, cnt the write
-	// count. For T1: cnt counts consecutive reads while not holding. For
-	// T2: cnt counts consecutive writes while holding.
+	// Parallel per-row arrays holding each row's core.Packed state:
+	// bits is the SW window word, cnt the SW write count or the T1/T2
+	// run, and hold a bitset over rows of the copy bit — whether the
+	// policy currently votes for a copy at this station.
 	bits []uint64
-	head []uint8
 	cnt  []uint32
-
-	// hold is a bitset over rows: whether the policy currently votes for
-	// a copy at this station.
 	hold []uint64
 }
 
@@ -135,7 +146,11 @@ func NewTable(p Policy) *Table {
 	if err := p.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Table{pol: p, ids: make(map[string]uint32)}
+	t := &Table{pol: p, ids: make(map[string]uint32)}
+	if p.Kind != PolicyNone {
+		t.rule, _ = p.rule()
+	}
+	return t
 }
 
 // Len returns the number of tracked keys.
@@ -144,9 +159,7 @@ func (t *Table) Len() int { return len(t.ids) }
 // Policy returns the table's policy.
 func (t *Table) Policy() Policy { return t.pol }
 
-// row resolves key to its row, creating it in the policy's initial
-// state: SW starts all-writes (one-copy scheme, like a freshly attached
-// MC), T1 starts not holding, T2 starts holding.
+// row resolves key to its row, creating it in the rule's initial state.
 func (t *Table) row(key string) uint32 {
 	r, ok := t.ids[key]
 	if ok {
@@ -156,34 +169,23 @@ func (t *Table) row(key string) uint32 {
 	// The map retains its key; clone in case the caller's aliases
 	// transport memory.
 	t.ids[strings.Clone(key)] = r
-	var w uint64
-	var c uint32
-	if t.pol.Kind == PolicySW {
-		w = (uint64(1) << uint(t.pol.K)) - 1 // all writes
-		c = uint32(t.pol.K)
-	}
-	t.bits = append(t.bits, w)
-	t.head = append(t.head, 0)
-	t.cnt = append(t.cnt, c)
 	if int(r)>>6 >= len(t.hold) {
 		t.hold = append(t.hold, 0)
 	}
-	if t.pol.Kind == PolicyT2 {
-		t.setHold(r, true)
-	}
+	t.bits = append(t.bits, 0)
+	t.cnt = append(t.cnt, 0)
+	t.store(r, t.rule.Initial())
 	return r
 }
 
-func (t *Table) holds(r uint32) bool {
-	return t.hold[r>>6]&(1<<(r&63)) != 0
+func (t *Table) load(r uint32) core.Packed {
+	return core.Packed{Bits: t.bits[r], Count: t.cnt[r], Hold: uint32(t.hold[r>>6]>>(r&63)) & 1}
 }
 
-func (t *Table) setHold(r uint32, on bool) {
-	if on {
-		t.hold[r>>6] |= 1 << (r & 63)
-	} else {
-		t.hold[r>>6] &^= 1 << (r & 63)
-	}
+func (t *Table) store(r uint32, s core.Packed) {
+	t.bits[r] = s.Bits
+	t.cnt[r] = s.Count
+	t.hold[r>>6] = t.hold[r>>6]&^(1<<(r&63)) | uint64(s.Hold)<<(r&63)
 }
 
 // Holds reports whether the policy currently votes for a copy of key at
@@ -194,93 +196,25 @@ func (t *Table) Holds(key string) bool {
 		return true
 	}
 	if r, ok := t.ids[key]; ok {
-		return t.holds(r)
+		return t.load(r).Hold != 0
 	}
-	return t.pol.Kind == PolicyT2
+	return t.rule.Initial().Hold != 0
 }
 
 // OnRead records a read of key observed at this station and returns the
 // policy's (possibly changed) vote.
-func (t *Table) OnRead(key string) bool {
-	if t.pol.Kind == PolicyNone {
-		return true
-	}
-	r := t.row(key)
-	switch t.pol.Kind {
-	case PolicySW:
-		t.push(r, false)
-		t.setHold(r, t.readMajority(r))
-	case PolicyT1:
-		if !t.holds(r) {
-			t.cnt[r]++
-			if t.cnt[r] == uint32(t.pol.K) {
-				t.setHold(r, true)
-				t.cnt[r] = 0
-			}
-		}
-		// Reads while holding keep the copy; nothing to count.
-	case PolicyT2:
-		if t.holds(r) {
-			t.cnt[r] = 0 // a read breaks the consecutive-write run
-		} else {
-			t.setHold(r, true) // first read of the one-copy phase re-holds
-		}
-	}
-	return t.holds(r)
-}
+func (t *Table) OnRead(key string) bool { return t.observe(key, false) }
 
 // OnWrite records a write of key observed at this station and returns
 // the policy's (possibly changed) vote.
-func (t *Table) OnWrite(key string) bool {
+func (t *Table) OnWrite(key string) bool { return t.observe(key, true) }
+
+func (t *Table) observe(key string, write bool) bool {
 	if t.pol.Kind == PolicyNone {
 		return true
 	}
 	r := t.row(key)
-	switch t.pol.Kind {
-	case PolicySW:
-		t.push(r, true)
-		t.setHold(r, t.readMajority(r))
-	case PolicyT1:
-		if t.holds(r) {
-			t.setHold(r, false) // any write ends the two-copies phase
-		}
-		t.cnt[r] = 0
-	case PolicyT2:
-		if t.holds(r) {
-			t.cnt[r]++
-			if t.cnt[r] == uint32(t.pol.K) {
-				t.setHold(r, false)
-				t.cnt[r] = 0
-			}
-		}
-		// Writes while not holding are free; nothing to count.
-	}
-	return t.holds(r)
-}
-
-// push slides row r's SW window: drop the oldest bit, record isWrite as
-// the newest, maintaining the write count exactly like core.Window.Push.
-func (t *Table) push(r uint32, isWrite bool) {
-	h := uint(t.head[r])
-	old := t.bits[r]&(1<<h) != 0
-	if old {
-		t.cnt[r]--
-	}
-	if isWrite {
-		t.bits[r] |= 1 << h
-		t.cnt[r]++
-	} else {
-		t.bits[r] &^= 1 << h
-	}
-	h++
-	if h == uint(t.pol.K) {
-		h = 0
-	}
-	t.head[r] = uint8(h)
-}
-
-// readMajority mirrors core.Window.ReadMajority: reads strictly
-// outnumber writes among the K tracked bits.
-func (t *Table) readMajority(r uint32) bool {
-	return uint32(t.pol.K)-t.cnt[r] > t.cnt[r]
+	s, _ := t.rule.Step(t.load(r), write)
+	t.store(r, s)
+	return s.Hold != 0
 }

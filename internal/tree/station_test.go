@@ -256,3 +256,78 @@ func TestHandoffUnderWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// clobberLink models a transport that reuses its receive buffer as soon
+// as the handler returns, as the transport.Handler contract allows: each
+// frame is delivered from a private buffer that is overwritten right
+// after the handler is done with it.
+type clobberLink struct{ transport.Link }
+
+func (l clobberLink) SetHandler(h transport.Handler) {
+	var buf []byte
+	l.Link.SetHandler(func(frame []byte) {
+		buf = append(buf[:0], frame...)
+		h(buf)
+		for i := range buf {
+			buf[i] = '#'
+		}
+	})
+}
+
+// TestHandoffResyncOwnsFetchedValues: a relay answering a multi-key
+// resync fetches each key from its parent and must not keep a fetched
+// value that aliases the parent delivery's receive buffer until the last
+// key arrives. Otherwise the answer ships another frame's bytes (here,
+// the clobber pattern) under the key's version.
+func TestHandoffResyncOwnsFetchedValues(t *testing.T) {
+	store := db.NewStore()
+	tr, err := Build(Binary(3), store, replica.Static2(), 1, Policy{Kind: PolicyNone},
+		func(child, parent int) (transport.Link, transport.Link, error) {
+			a, b := transport.NewMemPair()
+			return clobberLink{a}, b, nil
+		})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	mc := attachTestMC(t, tr, 1)
+	keys := []string{"a", "b"}
+	for _, k := range keys {
+		if _, err := tr.Stations[0].Server().Write(k, []byte(k+"#1")); err != nil {
+			t.Fatalf("root write: %v", err)
+		}
+		if _, err := mc.Client.Read(k); err != nil {
+			t.Fatalf("read %s at station 1: %v", k, err)
+		}
+	}
+	eventually(t, "copies at station 1", func() bool {
+		return mc.Client.HasCopy("a") && mc.Client.HasCopy("b")
+	})
+	// Both keys change while the MC is in motion, so station 2 must
+	// re-ship their values rather than revalidate them.
+	mc.Client.Suspend()
+	for _, k := range keys {
+		if _, err := tr.Stations[0].Server().Write(k, []byte(k+"#2")); err != nil {
+			t.Fatalf("root write: %v", err)
+		}
+	}
+
+	a, b := transport.NewMemPair()
+	done, err := mc.Handoff(2, a, b)
+	if err != nil {
+		t.Fatalf("Handoff: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handoff resync did not complete")
+	}
+	if !mc.FinishHandoff(a) {
+		t.Fatal("handoff fell back to cold")
+	}
+	for _, k := range keys {
+		it, err := mc.Client.Read(k)
+		if err != nil || it.Version != 2 || string(it.Value) != k+"#2" {
+			t.Fatalf("read %s after handoff = v%d %q, %v; want v2 %q", k, it.Version, it.Value, err, k+"#2")
+		}
+	}
+}
