@@ -9,12 +9,14 @@ import (
 	"mobirep/internal/transport"
 )
 
+// TestParseMode checks the names the client's -mode flag accepts and
+// rejects; main parses the flag with replica.ParseMode.
 func TestParseMode(t *testing.T) {
 	cases := map[string]string{
 		"ST1": "ST1", "ST2": "ST2", "SW1": "SW1", "SW9": "SW9",
 	}
 	for in, want := range cases {
-		m, err := parseMode(in)
+		m, err := replica.ParseMode(in)
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -23,7 +25,7 @@ func TestParseMode(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX"} {
-		if _, err := parseMode(bad); err == nil {
+		if _, err := replica.ParseMode(bad); err == nil {
 			t.Fatalf("%q: expected error", bad)
 		}
 	}

@@ -77,7 +77,7 @@ func main() {
 		"keepalive probe interval on the parent link (only with -parent)")
 	flag.Parse()
 
-	mode, err := parseMode(*modeName)
+	mode, err := replica.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -290,24 +290,6 @@ func listenAndServe(srv *replica.Server, addr string, chaosCfg transport.Config,
 		}
 	}()
 	return ln.Addr(), nil
-}
-
-func parseMode(name string) (replica.Mode, error) {
-	switch name {
-	case "ST1":
-		return replica.Static1(), nil
-	case "ST2":
-		return replica.Static2(), nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(name, "SW%d", &k); err == nil && n == 1 && fmt.Sprintf("SW%d", k) == name {
-		m := replica.SW(k)
-		if err := m.Validate(); err != nil {
-			return replica.Mode{}, err
-		}
-		return m, nil
-	}
-	return replica.Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
 }
 
 func writeLoop(srv *replica.Server, key string, rate float64, seed uint64) {

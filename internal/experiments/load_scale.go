@@ -13,7 +13,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "E24",
-		Title:    "Sharded server at fleet scale: 100k+ chaos-wrapped sessions",
+		Title:    "Sharded server at fleet scale: chaos-wrapped sessions",
 		Artifact: "Scale-out of the SC to a mobile fleet (extension)",
 		Run:      runE24,
 	})
@@ -36,7 +36,7 @@ func runE24(cfg Config) []*report.Table {
 		"shards", "attach sessions/s", "reads/s", "p50", "p99", "read errors", "occupancy min..max")
 
 	run := func(shards int) load.Result {
-		res, err := load.Run(load.Config{
+		res, err := load.Run(load.Scenario{
 			Sessions: sessions,
 			Shards:   shards,
 			Mode:     replica.SW(3),
@@ -59,7 +59,7 @@ func runE24(cfg Config) []*report.Table {
 	run(1)
 	wide := run(8)
 	tbl.AddNote("every session rides its own fault-injected link pair; reads are driven by %d workers while %d background writers keep all shards propagating",
-		wide.Workers, 2)
+		wide.Workers, wide.Writers)
 	if !cfg.Quick {
 		tbl.AddNote("acceptance: %s concurrent sessions sustained (>= 100000) with p99 read latency %v",
 			report.I(sessions), wide.P99.Round(time.Microsecond))

@@ -37,9 +37,9 @@ func runE25(cfg Config) []*report.Table {
 		"reads/s", "p50", "p99", "heap peak MiB", "shed")
 
 	for _, factor := range []float64{0.5, 1.0, 1.5, 2.0} {
-		res, err := load.RunOverload(load.OverloadConfig{
+		res, err := load.Run(load.Scenario{
+			Sessions:     int(factor*float64(capacity) + 0.5),
 			Capacity:     capacity,
-			Factor:       factor,
 			StalledFrac:  0.1,
 			Mode:         replica.SW(3),
 			Shards:       8,
@@ -50,20 +50,21 @@ func runE25(cfg Config) []*report.Table {
 		if err != nil {
 			panic(fmt.Sprintf("E25: %v", err))
 		}
-		if res.BusyFrames != res.Rejected {
+		adm := res.Admission
+		if adm.BusyFrames != adm.Rejected {
 			panic(fmt.Sprintf("E25: %d rejected attaches but %d Busy frames delivered",
-				res.Rejected, res.BusyFrames))
+				adm.Rejected, adm.BusyFrames))
 		}
 		tbl.AddRow(fmt.Sprintf("%.1fx", factor),
-			report.I(res.Attempted),
-			report.I(res.Admitted),
-			report.I(res.Rejected),
-			fmt.Sprintf("%d/%d", res.BusyFrames, res.Rejected),
+			report.I(res.Sessions),
+			report.I(adm.Admitted),
+			report.I(adm.Rejected),
+			fmt.Sprintf("%d/%d", adm.BusyFrames, adm.Rejected),
 			report.F(res.OpsPerSec, 0),
 			res.P50.String(),
 			res.P99.String(),
-			report.F(float64(res.HeapPeakBytes)/(1<<20), 1),
-			report.I(res.Shed))
+			report.F(float64(adm.HeapPeakBytes)/(1<<20), 1),
+			report.I(adm.Shed))
 	}
 	tbl.AddNote("every refused attach is answered with a Busy frame (busy/rejected must match); stalled readers keep requesting while their server->client direction buffers against a bounded outbox")
 	tbl.AddNote("the healthy fleet's percentiles come only from admitted, non-stalled sessions — the degradation the paper's SC model does not have to consider")

@@ -4,24 +4,39 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/db"
 	"mobirep/internal/replica"
 	"mobirep/internal/transport"
+	"mobirep/internal/tree"
 )
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Sessions: 0, Mode: replica.Static2()}); err == nil {
+	if _, err := Run(Scenario{Sessions: 0, Mode: replica.Static2()}); err == nil {
 		t.Error("Run accepted zero sessions")
 	}
-	if _, err := Run(Config{Sessions: 10, Mode: replica.Static2(), Chaos: transport.Config{Manual: true}}); err == nil {
+	if _, err := Run(Scenario{Sessions: 10, Mode: replica.Static2(), Chaos: transport.Config{Manual: true}}); err == nil {
 		t.Error("Run accepted manual chaos")
 	}
-	if _, err := Run(Config{Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
+	if _, err := Run(Scenario{Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
 		t.Error("Run accepted a non-power-of-two shard count")
+	}
+	// Phases that cannot share a fleet, and settings of a phase that is
+	// off, are refused rather than ignored.
+	for name, s := range map[string]Scenario{
+		"tree plus crash":        {Stations: 7, RestartEvery: time.Second},
+		"chaos plus admission":   {Capacity: 5, Chaos: transport.Config{Drop: 0.1}},
+		"placement without tree": {Placement: tree.Policy{Kind: tree.PolicyT1, K: 2}},
+		"sync without crash":     {Sync: db.SyncAlways},
+	} {
+		s.Sessions, s.Mode = 10, replica.Static2()
+		if _, err := Run(s); err == nil {
+			t.Errorf("Run accepted %s", name)
+		}
 	}
 }
 
 func TestRunSmallFleet(t *testing.T) {
-	res, err := Run(Config{
+	res, err := Run(Scenario{
 		Sessions: 500,
 		Shards:   4,
 		Mode:     replica.SW(3),
@@ -52,6 +67,17 @@ func TestRunSmallFleet(t *testing.T) {
 	}
 	if res.Writes == 0 {
 		t.Fatalf("background writers committed nothing: %+v", res)
+	}
+	assertGoroutineBalance(t, res)
+}
+
+// assertGoroutineBalance fails when more goroutines survive teardown
+// than the settle allows for scheduler stragglers.
+func assertGoroutineBalance(t *testing.T, res Result) {
+	t.Helper()
+	if res.GoroutinesAfter > res.GoroutinesBefore+5 {
+		t.Fatalf("goroutines leaked across the run: before=%d after=%d",
+			res.GoroutinesBefore, res.GoroutinesAfter)
 	}
 }
 
@@ -88,11 +114,14 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestRunOverloadValidation(t *testing.T) {
-	if _, err := RunOverload(OverloadConfig{Capacity: 0, Mode: replica.Static2()}); err == nil {
-		t.Error("RunOverload accepted zero capacity")
+	if _, err := Run(Scenario{Sessions: 20, Capacity: -1, Mode: replica.Static2()}); err == nil {
+		t.Error("Run accepted a negative capacity")
 	}
-	if _, err := RunOverload(OverloadConfig{Capacity: 10, Factor: -1, Mode: replica.Static2()}); err == nil {
-		t.Error("RunOverload accepted a negative factor")
+	if _, err := Run(Scenario{Sessions: 20, StalledFrac: 0.1, Mode: replica.Static2()}); err == nil {
+		t.Error("Run accepted admission settings with zero capacity")
+	}
+	if _, err := Run(Scenario{Sessions: -10, Capacity: 10, Mode: replica.Static2()}); err == nil {
+		t.Error("Run accepted a negative attempted fleet")
 	}
 }
 
@@ -101,9 +130,9 @@ func TestRunOverloadValidation(t *testing.T) {
 // have received a Busy frame, the healthy fleet must have been served,
 // and teardown must leak nothing.
 func TestRunOverloadTwiceCapacity(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
+	res, err := Run(Scenario{
+		Sessions:     600,
 		Capacity:     300,
-		Factor:       2,
 		StalledFrac:  0.1,
 		Mode:         replica.SW(3),
 		Shards:       4,
@@ -114,15 +143,16 @@ func TestRunOverloadTwiceCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempted != 600 || res.Admitted != 300 || res.Rejected != 300 {
+	adm := res.Admission
+	if res.Sessions != 600 || adm.Admitted != 300 || adm.Rejected != 300 {
 		t.Fatalf("admission counts wrong: %+v", res)
 	}
-	if res.BusyFrames != res.Rejected {
+	if adm.BusyFrames != adm.Rejected {
 		t.Fatalf("rejected %d clients but %d Busy frames received: every refusal must be answered",
-			res.Rejected, res.BusyFrames)
+			adm.Rejected, adm.BusyFrames)
 	}
-	if res.Stalled != 30 {
-		t.Fatalf("stalled %d clients, want 30 (10%% of 300)", res.Stalled)
+	if adm.Stalled != 30 {
+		t.Fatalf("stalled %d clients, want 30 (10%% of 300)", adm.Stalled)
 	}
 	if res.Ops == 0 || res.Samples == 0 {
 		t.Fatalf("healthy fleet was not driven: %+v", res)
@@ -130,21 +160,18 @@ func TestRunOverloadTwiceCapacity(t *testing.T) {
 	if res.P99 < res.P50 || res.Max < res.P99 {
 		t.Fatalf("percentiles out of order: p50=%v p99=%v max=%v", res.P50, res.P99, res.Max)
 	}
-	if res.HeapPeakBytes == 0 || res.MemAccountPeak == 0 {
+	if adm.HeapPeakBytes == 0 || adm.MemAccountPeak == 0 {
 		t.Fatalf("memory watchdogs sampled nothing: %+v", res)
 	}
-	if res.GoroutinesAfter > res.GoroutinesBefore+5 {
-		t.Fatalf("goroutines leaked across the run: before=%d after=%d",
-			res.GoroutinesBefore, res.GoroutinesAfter)
-	}
+	assertGoroutineBalance(t, res)
 }
 
 // TestRunOverloadSheds squeezes the watermark far below the fleet's base
 // cost so the shed ticker must evict sessions mid-run.
 func TestRunOverloadSheds(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
+	res, err := Run(Scenario{
+		Sessions:     150,
 		Capacity:     100,
-		Factor:       1.5,
 		StalledFrac:  0.1,
 		Mode:         replica.Static2(),
 		Shards:       2,
@@ -156,18 +183,17 @@ func TestRunOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shed == 0 {
-		t.Fatalf("watermark below base cost but nothing was shed: %+v", res)
-	}
-	if res.BusyFrames != res.Rejected {
-		t.Fatalf("rejected %d clients but %d Busy frames received", res.Rejected, res.BusyFrames)
+	if adm := res.Admission; adm.Shed == 0 {
+		t.Fatalf("watermark below base cost but nothing was shed: %+v", adm)
+	} else if adm.BusyFrames != adm.Rejected {
+		t.Fatalf("rejected %d clients but %d Busy frames received", adm.Rejected, adm.BusyFrames)
 	}
 }
 
 // TestRunFaultFree: with no chaos at all, every read over the in-memory
 // transport completes inline and error-free.
 func TestRunFaultFree(t *testing.T) {
-	res, err := Run(Config{
+	res, err := Run(Scenario{
 		Sessions: 128,
 		Shards:   2,
 		Mode:     replica.Static2(),

@@ -29,7 +29,7 @@ func TestRestartSoakDurable(t *testing.T) {
 		{"group", db.SyncGroup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunRestart(RestartConfig{
+			res, err := Run(Scenario{
 				Sessions:     8,
 				Keys:         16,
 				Mode:         replica.Static2(),
@@ -41,29 +41,30 @@ func TestRestartSoakDurable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Restarts == 0 {
+			c := res.Crash
+			if c.Restarts == 0 {
 				t.Fatalf("soak finished without a single restart: %+v", res)
 			}
-			if res.LostAcked != 0 {
+			if c.LostAcked != 0 {
 				t.Fatalf("lost %d acknowledged writes across %d restarts: %+v",
-					res.LostAcked, res.Restarts, res)
+					c.LostAcked, c.Restarts, res)
 			}
-			if res.Rollbacks != 0 {
+			if c.Rollbacks != 0 {
 				t.Fatalf("%d client-visible rollbacks across %d restarts: %+v",
-					res.Rollbacks, res.Restarts, res)
+					c.Rollbacks, c.Restarts, res)
 			}
-			if res.Reads == 0 || res.Writes == 0 {
+			if res.Ops == res.Errors || res.Writes == 0 {
 				t.Fatalf("soak drove no traffic: %+v", res)
 			}
-			if res.FinalEpoch != uint64(1+res.Restarts) {
+			if c.FinalEpoch != uint64(1+c.Restarts) {
 				t.Fatalf("epoch %d after %d restarts, want %d (one bump per open)",
-					res.FinalEpoch, res.Restarts, 1+res.Restarts)
+					c.FinalEpoch, c.Restarts, 1+c.Restarts)
 			}
 			// Static2 clients allocate on first read, so by the first crash
 			// the whole fleet is warm and every restart must fence it.
-			if res.Fences == 0 {
+			if c.Fences == 0 {
 				t.Fatalf("no epoch fences across %d restarts of a warm fleet: %+v",
-					res.Restarts, res)
+					c.Restarts, res)
 			}
 		})
 	}
@@ -74,7 +75,7 @@ func TestRestartSoakDurable(t *testing.T) {
 // converge, the epoch must still bump per restart, and warm clients must
 // still be fenced rather than silently resynced.
 func TestRestartSoakNever(t *testing.T) {
-	res, err := RunRestart(RestartConfig{
+	res, err := Run(Scenario{
 		Sessions:     8,
 		Keys:         16,
 		Mode:         replica.Static2(),
@@ -86,13 +87,14 @@ func TestRestartSoakNever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts == 0 || res.Reads == 0 {
+	c := res.Crash
+	if c.Restarts == 0 || res.Ops == res.Errors {
 		t.Fatalf("soak did not run: %+v", res)
 	}
-	if res.FinalEpoch != uint64(1+res.Restarts) {
-		t.Fatalf("epoch %d after %d restarts, want %d", res.FinalEpoch, res.Restarts, 1+res.Restarts)
+	if c.FinalEpoch != uint64(1+c.Restarts) {
+		t.Fatalf("epoch %d after %d restarts, want %d", c.FinalEpoch, c.Restarts, 1+c.Restarts)
 	}
-	if res.Fences == 0 {
-		t.Fatalf("no fences across %d restarts of a warm fleet: %+v", res.Restarts, res)
+	if c.Fences == 0 {
+		t.Fatalf("no fences across %d restarts of a warm fleet: %+v", c.Restarts, res)
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func TestRunTreeValidation(t *testing.T) {
-	if _, err := RunTree(TreeConfig{Sessions: 0, Mode: replica.Static2()}); err == nil {
-		t.Error("RunTree accepted zero sessions")
+	if _, err := Run(Scenario{Stations: 7, Sessions: 0, Mode: replica.Static2()}); err == nil {
+		t.Error("Run accepted a tree with zero sessions")
 	}
-	if _, err := RunTree(TreeConfig{Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
-		t.Error("RunTree accepted a non-power-of-two shard count")
+	if _, err := Run(Scenario{Stations: 7, Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
+		t.Error("Run accepted a tree with a non-power-of-two shard count")
 	}
 }
 
@@ -22,7 +22,7 @@ func TestRunTreeValidation(t *testing.T) {
 // copies under the writes. Fault-free links mean every read must
 // succeed and every handoff must arrive warm.
 func TestRunTreeSmallFleet(t *testing.T) {
-	res, err := RunTree(TreeConfig{
+	res, err := Run(Scenario{
 		Stations:     7,
 		Sessions:     200,
 		Shards:       2,
@@ -35,7 +35,8 @@ func TestRunTreeSmallFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sessions != 200 || res.Stations != 7 || res.Leaves != 4 {
+	tr := res.Tree
+	if res.Sessions != 200 || tr.Stations != 7 || tr.Leaves != 4 {
 		t.Fatalf("result identity wrong: %+v", res)
 	}
 	if res.SessionsPerSec <= 0 || res.AttachSeconds <= 0 {
@@ -50,16 +51,17 @@ func TestRunTreeSmallFleet(t *testing.T) {
 	if res.Writes == 0 {
 		t.Fatalf("background writers committed nothing: %+v", res)
 	}
-	if res.Handoffs == 0 {
+	if tr.Handoffs == 0 {
 		t.Fatalf("motion enabled but no handoffs completed: %+v", res)
 	}
-	if res.ColdHandoffs != 0 {
-		t.Fatalf("%d handoffs arrived cold with no root restart", res.ColdHandoffs)
+	if tr.ColdHandoffs != 0 {
+		t.Fatalf("%d handoffs arrived cold with no root restart", tr.ColdHandoffs)
 	}
 	if res.P99 < res.P50 || res.Max < res.P99 {
 		t.Fatalf("percentiles out of order: p50=%v p99=%v max=%v", res.P50, res.P99, res.Max)
 	}
-	if res.HandoffP99 < res.HandoffP50 || res.HandoffMax < res.HandoffP99 {
-		t.Fatalf("handoff percentiles out of order: %+v", res)
+	if h := tr.Handoff; h.P99 < h.P50 || h.Max < h.P99 {
+		t.Fatalf("handoff percentiles out of order: %+v", h)
 	}
+	assertGoroutineBalance(t, res)
 }

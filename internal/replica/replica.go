@@ -87,6 +87,26 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it accepts "ST1", "ST2" and
+// "SWk" for a valid window size k, and rejects anything else.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "ST1":
+		return Static1(), nil
+	case "ST2":
+		return Static2(), nil
+	}
+	var k int
+	if n, err := fmt.Sscanf(name, "SW%d", &k); err == nil && n == 1 && fmt.Sprintf("SW%d", k) == name {
+		m := SW(k)
+		if err := m.Validate(); err != nil {
+			return Mode{}, err
+		}
+		return m, nil
+	}
+	return Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
+}
+
 // Meter counts protocol traffic on one side. Combined over both sides it
 // reproduces the paper's cost models; see Ledger. The counters are
 // lock-free atomics, and every add is mirrored into the per-side global

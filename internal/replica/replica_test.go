@@ -50,6 +50,28 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestParseMode: ParseMode inverts Mode.String on every valid mode and
+// rejects malformed names and invalid window sizes.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"ST1", true}, {"ST2", true}, {"SW1", true}, {"SW9", true},
+		{"", false}, {"SW4", false}, {"SW0", false}, {"sw9", false}, {"SW9x", false}, {"XX", false},
+	} {
+		m, err := ParseMode(tc.in)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%q: %v", tc.in, err)
+		case tc.ok && m.String() != tc.in:
+			t.Errorf("%q parsed to %q", tc.in, m.String())
+		case !tc.ok && err == nil:
+			t.Errorf("%q: expected error, parsed to %v", tc.in, m)
+		}
+	}
+}
+
 func TestSW3AllocationLifecycle(t *testing.T) {
 	cli, srv, _ := pair(t, SW(3))
 	srv.Write("x", []byte("v1"))
