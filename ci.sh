@@ -11,16 +11,16 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
-# Core-count slice: the packed policy step, the fused kernels and the
-# tree placement tables at one proc and at four, the load driver and its
-# CLI (worker pools and goroutine-balance settle) three times at one proc
-# and at four, and the attach admission tests at 1, 2, 4 and 8, so a
-# dependence on the machine's core count cannot come back unseen. The
-# fused kernels' speed rests on the packed step inlining into each loop;
-# the compiler's own report proves it.
+# Core-count slice: the whole suite at one proc and at four, the
+# protocol, the tree and the load driver with its CLI (worker pools and
+# goroutine-balance settle) three times at each, and the attach admission
+# tests at 1, 2, 4 and 8, so a dependence on the machine's core count
+# cannot come back unseen. A failure here is a bug to diagnose, never a
+# run to retry. The fused kernels' speed rests on the packed step
+# inlining into each loop; the compiler's own report proves it.
 for p in 1 4; do
-    GOMAXPROCS=$p go test -count=1 ./internal/core ./internal/sim ./internal/tree
-    GOMAXPROCS=$p go test -count=3 ./internal/load/ ./cmd/mobirep-load/
+    GOMAXPROCS=$p go test -count=1 ./...
+    GOMAXPROCS=$p go test -count=3 ./internal/replica/ ./internal/tree/ ./internal/load/ ./cmd/mobirep-load/
 done
 for p in 1 2 4 8; do
     GOMAXPROCS=$p go test -count=5 -run TestTryAttach ./internal/replica/

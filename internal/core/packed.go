@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"mobirep/internal/sched"
 )
@@ -139,6 +140,46 @@ type Packed struct {
 	Bits  uint64
 	Count uint32
 	Hold  uint32
+}
+
+// Window returns s's SW window oldest-first, the form in which a window
+// handoff rides the wire (the same schedule Window.Bits gives); rules
+// without a window return nil.
+func (r *Rule) Window(s Packed) sched.Schedule {
+	if r.kind != RuleSW {
+		return nil
+	}
+	out := make(sched.Schedule, r.k)
+	for i := range out {
+		out[i] = sched.Op(s.Bits >> (r.top - uint32(i)) & 1) // Read 0, Write 1
+	}
+	return out
+}
+
+// LoadWindow returns s with its SW window replaced by bits, given
+// oldest-first, and Hold set to the rule's verdict on it: the receiving
+// side of a window handoff (Window.LoadBits). bits must have exactly k
+// entries, or none under a rule without a window; otherwise s comes back
+// unchanged with an error.
+func (r *Rule) LoadWindow(s Packed, bits sched.Schedule) (Packed, error) {
+	want := 0
+	if r.kind == RuleSW {
+		want = int(r.k)
+	}
+	if len(bits) != want {
+		return s, fmt.Errorf("core: window handoff carried %d bits, want %d", len(bits), want)
+	}
+	if want == 0 {
+		return s, nil
+	}
+	var b uint64
+	for _, op := range bits {
+		b = b<<1 | uint64(Bit(op == sched.Write))
+	}
+	s.Bits = b
+	s.Count = uint32(mathbits.OnesCount64(b))
+	s.Hold = (2*s.Count - r.k) >> 31
+	return s, nil
 }
 
 // Step applies one request to s under r. It is the entry point for

@@ -119,3 +119,65 @@ func TestNewRuleValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedWindowMatchesWindow pins the handoff helpers to core.Window:
+// for every odd k a random stream drives a Window and a packed SW state
+// side by side, Rule.Window must render the state as Window.Bits does,
+// and LoadWindow must read that schedule back to the same state, with
+// Hold the read majority Window.LoadBits gives. A load of the wrong
+// length fails and leaves the state alone, as LoadBits does.
+func TestPackedWindowMatchesWindow(t *testing.T) {
+	rng := stats.NewRNG(63)
+	for k := 1; k <= 63; k += 2 {
+		r, err := NewRule(RuleSW, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWindow(k, sched.Write)
+		s := r.Initial()
+		for i := 0; i < 4*k; i++ {
+			write := rng.Bernoulli(0.4)
+			op := sched.Read
+			if write {
+				op = sched.Write
+			}
+			w.Push(op)
+			s, _ = r.Step(s, write)
+			bits := r.Window(s)
+			if bits.String() != w.Bits().String() {
+				t.Fatalf("SW%d request %d: packed window %s, Window %s", k, i, bits, w)
+			}
+			back, err := r.LoadWindow(r.Initial(), bits)
+			if err != nil || back != s {
+				t.Fatalf("SW%d request %d: LoadWindow(%s) = %+v, %v; want %+v", k, i, bits, back, err, s)
+			}
+			loaded := NewWindow(k, sched.Read)
+			if err := loaded.LoadBits(bits); err != nil || (back.Hold == 1) != loaded.ReadMajority() {
+				t.Fatalf("SW%d request %d: hold %d, LoadBits read majority %v (%v)", k, i, back.Hold, loaded.ReadMajority(), err)
+			}
+		}
+		for _, n := range []int{k - 1, k + 1} {
+			bad := make(sched.Schedule, n)
+			if got, err := r.LoadWindow(s, bad); err == nil || got != s {
+				t.Fatalf("SW%d: LoadWindow of %d bits = %+v, %v; want the state unchanged and an error", k, n, got, err)
+			}
+			if err := w.LoadBits(bad); err == nil {
+				t.Fatalf("SW%d: Window.LoadBits accepted %d bits", k, n)
+			}
+		}
+	}
+	// Rules without a window carry none and accept none.
+	for _, kind := range []RuleKind{RuleST1, RuleST2} {
+		r, _ := NewRule(kind, 0)
+		s := r.Initial()
+		if bits := r.Window(s); bits != nil {
+			t.Fatalf("rule %d: window %s, want nil", kind, bits)
+		}
+		if got, err := r.LoadWindow(s, nil); err != nil || got != s {
+			t.Fatalf("rule %d: LoadWindow(nil) = %+v, %v", kind, got, err)
+		}
+		if _, err := r.LoadWindow(s, sched.Schedule{sched.Read}); err == nil {
+			t.Fatalf("rule %d: LoadWindow accepted a window", kind)
+		}
+	}
+}

@@ -11,10 +11,10 @@ import (
 // a write); this implementation keeps the same representation in a ring
 // buffer plus a running write count so that each slide is O(1).
 //
-// The window is also a first-class protocol object: when window ownership
-// moves between the mobile and stationary computer (section 4), the
-// current bits travel inside the handoff message. Bits and LoadBits exist
-// for exactly that purpose and are exercised by internal/wire.
+// Window is the readable reference: SW, EvenSW and the adaptive policies
+// run on it. The protocol's window handoff (section 4) runs on the packed
+// state instead, through Rule.Window and Rule.LoadWindow, whose tests pin
+// them to Bits and LoadBits here.
 type Window struct {
 	bits   []bool // true = write; index head is the oldest entry
 	head   int

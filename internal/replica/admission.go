@@ -86,22 +86,25 @@ func (cfg AdmissionConfig) retryAfter() time.Duration {
 
 // Session-state memory accounting. The numbers are deliberate
 // approximations of resident cost — map buckets, struct headers, the
-// cloned key in both the session map and the shard index, the window
-// ring — kept coarse so the account is cheap to maintain exactly.
+// cloned key in both the session map and the shard index, the packed
+// per-key state — kept coarse so the account is cheap to maintain
+// exactly.
 const (
 	// sessionMemBase is the accounted cost of an attached session before
 	// it touches any key.
 	sessionMemBase = 512
 	// itemMemOverhead is the accounted per-(session,key) cost beyond the
-	// key bytes and window slots.
+	// key bytes. It covers the 32-byte itemState (a 16-byte core.Packed,
+	// the copy bit and the served-at version), which is the same for
+	// every mode and window size, plus map and index overhead.
 	itemMemOverhead = 96
 )
 
 // itemMemCost approximates the resident bytes of one (session,key)
-// protocol entry: the key held twice (session map and shard index), one
-// window slot per schedule position, and fixed overhead.
-func itemMemCost(key string, mode Mode) int64 {
-	return int64(2*len(key)) + int64(mode.K) + itemMemOverhead
+// protocol entry: the key held twice (session map and shard index) and
+// the fixed overhead.
+func itemMemCost(key string) int64 {
+	return int64(2*len(key)) + itemMemOverhead
 }
 
 // SetAdmission installs (or, with a zero config, removes) the attach-time

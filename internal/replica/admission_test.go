@@ -222,7 +222,7 @@ func TestMemBytesAccountsSessionsAndItems(t *testing.T) {
 	if _, err := cli.Read("key-a"); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(sessionMemBase) + itemMemCost("key-a", mode)
+	want := int64(sessionMemBase) + itemMemCost("key-a")
 	if got := srv.MemBytes(); got != want {
 		t.Fatalf("MemBytes after one tracked key = %d, want %d", got, want)
 	}

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
-	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
 
@@ -52,19 +52,9 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	var hints []uint64
 	missingIdx := make(map[string][]int)
 	for i, key := range keys {
-		st := c.state(key)
-		if st.hasCopy {
-			if it, ok := c.cache.Get(key); ok {
-				if st.mode.Kind == ModeSW {
-					st.window.Push(sched.Read)
-				}
-				c.noteFloorLocked(key, it.Version)
-				out[i] = it
-				continue
-			}
-			st.hasCopy = false
-		} else {
-			c.cache.Get(key) // record the miss
+		if it, ok := c.localReadLocked(key, 0); ok {
+			out[i] = it
+			continue
 		}
 		if len(missingIdx[key]) == 0 {
 			missing = append(missing, key)
@@ -178,17 +168,7 @@ func (c *Client) onBatch(b wire.Batch) {
 		if !e.Allocate {
 			continue
 		}
-		st := c.state(e.Key)
-		st.hasCopy = true
-		if st.mode.Kind == ModeSW {
-			if len(e.Window) == st.mode.K {
-				if err := st.window.LoadBits(e.Window); err != nil {
-					st.window.Fill(sched.Read)
-				}
-			} else {
-				st.window.Fill(sched.Read)
-			}
-		}
+		c.state(e.Key).adopt(&c.rule, e.Window)
 		item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
 		if e.NotModified {
 			if arch, ok := c.cache.Revalidated(e.Key); ok {
@@ -285,30 +265,13 @@ func (ss *Session) finishMultiRead(b wire.Batch, items []db.Item) {
 	}
 	for ki, key := range b.Keys {
 		it := items[ki]
-		st := ss.state(key)
 		e := wire.Entry{Key: key, Value: it.Value, Version: it.Version}
 		if ki < len(b.Versions) && b.Versions[ki] != 0 && b.Versions[ki] == it.Version {
 			// Version hint matches: skip the payload.
 			e.NotModified = true
 			e.Value = nil
 		}
-		switch st.mode.Kind {
-		case ModeStatic1:
-		case ModeStatic2:
-			if !st.hasCopy && ss.allocAllowed(key) {
-				e.Allocate = true
-				st.hasCopy = true
-			}
-		default:
-			if !st.hasCopy {
-				st.window.Push(sched.Read)
-				if st.window.ReadMajority() && ss.allocAllowed(key) {
-					e.Allocate = true
-					e.Window = st.window.Bits()
-					st.hasCopy = true
-				}
-			}
-		}
+		e.Allocate, e.Window = ss.serveRead(key, it.Version)
 		resp.Entries = append(resp.Entries, e)
 	}
 	sh.exit()
@@ -379,16 +342,16 @@ func (ss *Session) finishResync(b wire.Batch, items []db.Item) {
 	for ki, key := range b.Keys {
 		it := items[ki]
 		st := ss.state(key)
-		if st.mode.Kind != ModeStatic1 {
+		switch {
+		case ss.srv.rule.Kind() == core.RuleST1:
 			// ST1 never places copies; a declared copy there is a client
 			// bug and gets a refresh without a subscription.
-			if ss.allocAllowed(key) {
-				st.hasCopy = true
-			} else {
-				// b's memory is owned (wire.DecodeBatch copies), so the key
-				// can be retained as-is.
-				revoke = append(revoke, key)
-			}
+		case ss.allocAllowed(key):
+			st.resubscribe(it.Version)
+		default:
+			// b's memory is owned (wire.DecodeBatch copies), so the key
+			// can be retained as-is.
+			revoke = append(revoke, key)
 		}
 		e := wire.Entry{Key: key, Version: it.Version}
 		hint := uint64(0)

@@ -8,10 +8,10 @@ import (
 	"sync"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/mobile"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -21,7 +21,7 @@ import (
 type Client struct {
 	link  transport.Link
 	cache *mobile.Cache
-	mode  Mode
+	rule  core.Rule // the allocation rule every key runs, from the Mode
 	meter *Meter
 
 	mu           sync.Mutex
@@ -79,13 +79,14 @@ var ErrTimeout = errors.New("replica: read timed out")
 // NewClient creates the MC endpoint over the given link. mode must match
 // the server's mode. The link's handler is installed by NewClient.
 func NewClient(link transport.Link, mode Mode) (*Client, error) {
-	if err := mode.validate(); err != nil {
+	rule, err := mode.rule()
+	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		link:      link,
 		cache:     mobile.NewCache(),
-		mode:      mode,
+		rule:      rule,
 		meter:     newMeter(mcMirror),
 		items:     make(map[string]*itemState),
 		pending:   make(map[string][]readWaiter),
@@ -130,25 +131,10 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 		c.mu.Unlock()
 		return c.staleRead(key, staleMax)
 	}
-	st := c.state(key)
-	if st.hasCopy {
-		it, ok := c.cache.Get(key)
-		if ok {
-			// Local read: the MC is in charge; slide the window.
-			if st.mode.Kind == ModeSW {
-				st.window.Push(sched.Read)
-			}
-			c.noteFloorLocked(key, it.Version)
-			c.mu.Unlock()
-			mReadLocal.Inc()
-			return it, nil
-		}
-		// Cache and allocation state disagree; fall through to remote and
-		// repair below. (Can only happen if Drop raced with Read.)
-		st.hasCopy = false
-	} else {
-		// Record the miss in the cache statistics.
-		c.cache.Get(key)
+	if it, ok := c.localReadLocked(key, 0); ok {
+		c.mu.Unlock()
+		mReadLocal.Inc()
+		return it, nil
 	}
 	var floor uint64
 	if c.trackFloors {
@@ -213,12 +199,37 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 	return it, ErrStale
 }
 
+// localReadLocked serves key from the held copy when there is one at or
+// above floor, sliding the state by the local read: the MC is in charge.
+// ok=false sends the caller remote: with no copy (the miss is recorded),
+// or with a copy below the floor, which stays held (the answer is folded
+// in by absorbLocked). A copy whose cache entry is gone (a Drop raced the
+// read) is repaired to no copy. The caller holds c.mu.
+func (c *Client) localReadLocked(key string, floor uint64) (db.Item, bool) {
+	st := c.state(key)
+	if !st.has {
+		c.cache.Get(key) // record the miss
+		return db.Item{}, false
+	}
+	it, ok := c.cache.Get(key)
+	if !ok {
+		st.has = false
+		return db.Item{}, false
+	}
+	if it.Version < floor {
+		return db.Item{}, false
+	}
+	st.localRead(&c.rule)
+	c.noteFloorLocked(key, it.Version)
+	return it, true
+}
+
 // state returns (creating if needed) the client's state for key. The
 // caller must hold c.mu.
 func (c *Client) state(key string) *itemState {
 	st, ok := c.items[key]
 	if !ok {
-		st = newItemState(c.mode)
+		st = newItemState(&c.rule)
 		// Inserting a map key retains its bytes, and key may alias a
 		// borrowed frame (wire.DecodeBorrowed); clone so the client never
 		// keeps transport memory alive.
@@ -388,25 +399,11 @@ func (c *Client) onReadResp(msg wire.Message) {
 			return
 		}
 	}
-	if msg.Allocate && !c.state(msg.Key).hasCopy {
-		st := c.state(msg.Key)
-		st.hasCopy = true
+	if st := c.state(msg.Key); msg.Allocate && !st.has {
+		st.adopt(&c.rule, msg.Window)
 		mAllocs.Inc()
 		// The tracer's ring buffer retains the key; msg.Key is borrowed.
 		obsTr.Record(obs.EvAllocate, strings.Clone(msg.Key), "read-resp", int64(msg.Version), 0)
-		if st.mode.Kind == ModeSW {
-			if len(msg.Window) == st.mode.K {
-				if err := st.window.LoadBits(msg.Window); err != nil {
-					st.window.Fill(sched.Read)
-				}
-			} else {
-				// ST2-style allocation carries no window; for SW modes a
-				// missing window means the server is buggy — recover by
-				// assuming all-reads, which the next requests will wash
-				// out.
-				st.window.Fill(sched.Read)
-			}
-		}
 		c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 	}
 	var ch chan wire.Message
@@ -484,34 +481,28 @@ func (c *Client) onReadResp(msg wire.Message) {
 func (c *Client) onWriteProp(msg wire.Message) {
 	c.mu.Lock()
 	st := c.state(msg.Key)
-	if !st.hasCopy {
+	if !st.has {
 		// The SC still believes this MC is subscribed, so the deallocation
 		// (our delete-request, or the allocation response it answers) was
-		// lost in transit. Re-assert it so the SC stops paying a data
-		// message per write; a duplicate delete-request is ignored there.
+		// lost or is still in flight. Re-assert it so the SC stops paying
+		// a data message per write; a duplicate delete-request is ignored
+		// there. The re-assert carries this write's version: if the SC has
+		// since served this MC a new allocation at that version or later,
+		// the re-assert answers the old one and must not revoke the new.
 		c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
-		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
-		if st.mode.Kind == ModeSW {
-			out.Window = st.window.Bits()
-		}
+		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key, Window: c.rule.Window(st.p), Version: msg.Version}
 		c.mu.Unlock()
 		_ = c.sendControl(out)
 		return
 	}
 	fresh := c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 	var out *wire.Message
-	if fresh && st.mode.Kind == ModeSW {
-		st.window.Push(sched.Write)
-		if !st.window.ReadMajority() {
-			// Deallocate: hand the window back to the SC.
-			st.hasCopy = false
-			c.cache.Drop(msg.Key)
-			mDeallocs.Inc()
-			obsTr.Record(obs.EvDeallocate, strings.Clone(msg.Key), "write-majority", int64(msg.Version), 0)
-			out = &wire.Message{
-				Kind: wire.KindDeleteReq, Key: msg.Key, Window: st.window.Bits(),
-			}
-		}
+	if fresh && !st.writes(&c.rule, 1) {
+		// Deallocate: hand the window back to the SC.
+		c.cache.Drop(msg.Key)
+		mDeallocs.Inc()
+		obsTr.Record(obs.EvDeallocate, strings.Clone(msg.Key), "write-majority", int64(msg.Version), 0)
+		out = &wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key, Window: c.rule.Window(st.p)}
 	}
 	apply := c.applyFn
 	drop := c.dropFn
@@ -541,11 +532,8 @@ func (c *Client) onWriteProp(msg wire.Message) {
 func (c *Client) onDeleteReq(msg wire.Message) {
 	c.mu.Lock()
 	st := c.state(msg.Key)
-	had := st.hasCopy
-	st.hasCopy = false
-	if st.mode.Kind == ModeSW {
-		st.window.Fill(sched.Write)
-	}
+	had := st.has
+	st.revoke(&c.rule)
 	c.cache.Drop(msg.Key)
 	drop := c.dropFn
 	c.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/sched"
 	"mobirep/internal/stats"
@@ -838,38 +839,28 @@ func (h *conformance) doRead(key string) error {
 	return nil
 }
 
-// implSide snapshots one implementation side's per-key state under its
-// lock: the copy bit and the window (all-writes default when the key was
-// never touched, matching newItemState).
-func implMCState(c *Client, mode Mode, key string) (bool, sched.Schedule) {
+// implMCState and implSCState snapshot one implementation side's per-key
+// state under its lock: the copy bit and the window (the rule's initial,
+// all-writes window when the key was never touched, matching
+// newItemState).
+func implMCState(c *Client, key string) (bool, sched.Schedule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return implState(c.items, mode, key)
+	return implState(c.items, &c.rule, key)
 }
 
-func implSCState(ss *Session, mode Mode, key string) (bool, sched.Schedule) {
+func implSCState(ss *Session, key string) (bool, sched.Schedule) {
 	ss.shard.enter()
 	defer ss.shard.exit()
-	return implState(ss.items, mode, key)
+	return implState(ss.items, &ss.srv.rule, key)
 }
 
-func implState(items map[string]*itemState, mode Mode, key string) (bool, sched.Schedule) {
+func implState(items map[string]*itemState, r *core.Rule, key string) (bool, sched.Schedule) {
 	st, ok := items[key]
 	if !ok {
-		var win sched.Schedule
-		if mode.Kind == ModeSW {
-			win = make(sched.Schedule, mode.K)
-			for i := range win {
-				win[i] = sched.Write
-			}
-		}
-		return false, win
+		return false, r.Window(r.Initial())
 	}
-	var win sched.Schedule
-	if st.window != nil {
-		win = st.window.Bits()
-	}
-	return st.hasCopy, win
+	return st.has, r.Window(st.p)
 }
 
 // checkFinalState compares every key's terminal state: store version, copy
@@ -885,7 +876,7 @@ func (h *conformance) checkFinalState() error {
 			return h.fail("final %s: store at v%d, model v%d", key, it.Version, h.model.StoreVersion(key))
 		}
 
-		mcCopy, mcWin := implMCState(h.cli, h.mode, key)
+		mcCopy, mcWin := implMCState(h.cli, key)
 		if mcCopy != h.model.MCHasCopy(key) {
 			return h.fail("final %s: MC hasCopy=%v, model %v", key, mcCopy, h.model.MCHasCopy(key))
 		}
@@ -901,7 +892,7 @@ func (h *conformance) checkFinalState() error {
 			return h.fail("final %s: MC window %v, model %v", key, mcWin, h.model.MCWindow(key))
 		}
 
-		scCopy, scWin := implSCState(h.sess, h.mode, key)
+		scCopy, scWin := implSCState(h.sess, key)
 		if scCopy != h.model.SCHasCopy(key) {
 			return h.fail("final %s: SC hasCopy=%v, model %v", key, scCopy, h.model.SCHasCopy(key))
 		}

@@ -68,7 +68,7 @@ func (c *Client) noteEpochLocked(epoch uint64) bool {
 // Caller holds c.mu.
 func (c *Client) fenceLocked(epoch uint64) {
 	for key, st := range c.items {
-		if st.hasCopy {
+		if st.has {
 			c.cache.Drop(key)
 		}
 	}

@@ -100,8 +100,12 @@ func TestTCPEndToEnd(t *testing.T) {
 
 // TestTCPSequentialMatchesSimulator repeats the E13 equivalence over a
 // real socket. Writes are asynchronous over TCP, so the driver waits for
-// the write to take effect at the client before issuing the next request,
-// preserving the paper's serialized semantics.
+// the write to take effect before issuing the next request, preserving
+// the paper's serialized semantics. A deallocation has taken effect only
+// once the SC has the MC's DeleteReq: srv.Write is an in-process call,
+// so a write issued while the DeleteReq is still on the socket would find
+// the SC still counting the copy, propagate to an MC without one and
+// draw a re-asserted DeleteReq the simulator never sends.
 func TestTCPSequentialMatchesSimulator(t *testing.T) {
 	const k = 3
 	store := db.NewStore()
@@ -146,7 +150,7 @@ func TestTCPSequentialMatchesSimulator(t *testing.T) {
 				v := version
 				waitFor(t, func() bool {
 					if !wantCopy {
-						return !cli.HasCopy("x")
+						return !cli.HasCopy("x") && !scHasCopy(srv, "x")
 					}
 					got, ok := cli.Cache().Peek("x")
 					return ok && got.Version == v
@@ -170,6 +174,22 @@ func TestTCPSequentialMatchesSimulator(t *testing.T) {
 		// server sends no control messages, so the totals must agree.
 		t.Fatalf("client control %d vs sim %d", mc.ControlMsgs, res.Ledger.ControlMessages)
 	}
+}
+
+// scHasCopy reports whether any session of srv counts a copy of key at
+// its MC.
+func scHasCopy(srv *Server, key string) bool {
+	for _, sh := range srv.shards {
+		sh.enter()
+		for sess := range sh.sessions {
+			if st, ok := sess.items[key]; ok && st.has {
+				sh.exit()
+				return true
+			}
+		}
+		sh.exit()
+	}
+	return false
 }
 
 func waitFor(t *testing.T, cond func() bool, what string) {

@@ -26,7 +26,12 @@ import (
 //     the cache must not slide the window (stale propagations are inert);
 //   - a WriteProp arriving while the MC holds no copy means the SC has
 //     lost (or not yet received) the deallocation — the MC re-asserts it
-//     with a DeleteReq so the SC stops propagating into the void.
+//     with a DeleteReq so the SC stops propagating into the void. The
+//     re-assert carries the WriteProp's version, and the SC ignores it
+//     unless that version is above the one its current allocation was
+//     served at: a re-assert that crossed a newer allocation in flight
+//     answers the old one, and revoking the new one would leave the MC
+//     holding a copy the SC no longer propagates to.
 //
 // The recovery layer adds two exchanges, modeled here so the conformance
 // explorer can schedule them against chaos faults:
@@ -86,6 +91,9 @@ type Model struct {
 type modelSide struct {
 	hasCopy bool
 	window  sched.Schedule // nil for ST modes
+	// servedAt (SC side) is the store version the current allocation
+	// was served at, which fences re-asserted DeleteReqs.
+	servedAt uint64
 }
 
 // NewModel returns the reference model for one client/server pair in the
@@ -274,6 +282,7 @@ func (m *Model) scReadReq(key string) []wire.Message {
 		if !st.hasCopy {
 			resp.Allocate = true
 			st.hasCopy = true
+			st.servedAt = resp.Version
 		}
 	default:
 		if !st.hasCopy {
@@ -282,6 +291,7 @@ func (m *Model) scReadReq(key string) []wire.Message {
 				resp.Allocate = true
 				resp.Window = st.windowCopy()
 				st.hasCopy = true
+				st.servedAt = resp.Version
 			}
 		}
 	}
@@ -292,6 +302,9 @@ func (m *Model) scDeleteReq(msg wire.Message) {
 	st := m.side(m.sc, msg.Key)
 	if !st.hasCopy {
 		return // stale duplicate
+	}
+	if msg.Version != 0 && msg.Version <= st.servedAt {
+		return // a re-assert answering an older allocation
 	}
 	st.hasCopy = false
 	if m.mode.Kind == ModeSW && len(msg.Window) == m.mode.K {
@@ -354,7 +367,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 		// The SC believes the MC is subscribed but the MC holds no copy:
 		// the deallocation was lost or is still in flight. Re-assert it so
 		// the SC stops paying a data message per write.
-		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
+		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key, Version: msg.Version}
 		if m.mode.Kind == ModeSW {
 			out.Window = st.windowCopy()
 		}
@@ -519,6 +532,7 @@ func (m *Model) DeliverResyncToServer(b wire.Batch) *wire.Batch {
 		st := m.side(m.sc, key)
 		if m.mode.Kind != ModeStatic1 {
 			st.hasCopy = true
+			st.servedAt = m.store[key]
 		}
 		e := wire.Entry{Key: key, Version: m.store[key]}
 		var hint uint64

@@ -5,7 +5,6 @@ import (
 
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
 
@@ -55,26 +54,11 @@ func (c *Client) ReadThrough(key string, floor uint64, done func(it db.Item, ok 
 		// collectively monotone reads, not just per original requester.
 		floor = f
 	}
-	st := c.state(key)
-	if st.hasCopy {
-		if it, ok := c.cache.Get(key); ok && it.Version >= floor {
-			if st.mode.Kind == ModeSW {
-				st.window.Push(sched.Read)
-			}
-			c.noteFloorLocked(key, it.Version)
-			c.mu.Unlock()
-			mReadLocal.Inc()
-			done(it, true)
-			return
-		} else if !ok {
-			// Cache and allocation state disagree (a concurrent Drop);
-			// repair and go remote, as ReadContext does.
-			st.hasCopy = false
-		}
-		// A held copy below the floor stays held: the remote answer is
-		// absorbed like a one-key resync (see absorbLocked).
-	} else {
-		c.cache.Get(key) // record the miss
+	if it, ok := c.localReadLocked(key, floor); ok {
+		c.mu.Unlock()
+		mReadLocal.Inc()
+		done(it, true)
+		return
 	}
 	fw := &fnWaiter{fn: func(msg wire.Message, ok bool) {
 		if !ok {
@@ -155,39 +139,27 @@ func (c *Client) Floor(key string) uint64 {
 // ReadThrough goes remote while holding a copy only when the cached
 // version sits below the requested floor, which means the propagation
 // path lost writes; account for them exactly like a one-key resync —
-// slide the window by the missed writes (capped at K, beyond which
-// older pushes would have slid out anyway) and deallocate on a write
-// majority. Returns the DeleteReq to send upstream (nil if none) and
-// the key whose drop must cascade downward ("" if none). Caller holds
-// c.mu.
+// slide the state by the missed writes (itemState.writes) and
+// deallocate when the rule drops the copy. Returns the DeleteReq to send
+// upstream (nil if none) and the key whose drop must cascade downward
+// ("" if none). Caller holds c.mu.
 func (c *Client) absorbLocked(msg wire.Message) (*wire.Message, string) {
 	st, ok := c.items[msg.Key]
-	if !ok || !st.hasCopy {
+	if !ok || !st.has {
 		return nil, ""
 	}
 	cur, _ := c.cache.Peek(msg.Key)
 	if !c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}) {
 		return nil, ""
 	}
-	if st.mode.Kind != ModeSW {
+	if st.writes(&c.rule, msg.Version-cur.Version) {
 		return nil, ""
 	}
-	missed := int(msg.Version - cur.Version)
-	if missed > st.mode.K {
-		missed = st.mode.K
-	}
-	for i := 0; i < missed; i++ {
-		st.window.Push(sched.Write)
-	}
-	if st.window.ReadMajority() {
-		return nil, ""
-	}
-	st.hasCopy = false
 	key := strings.Clone(msg.Key)
 	c.cache.Drop(key)
 	mDeallocs.Inc()
 	obsTr.Record(obs.EvDeallocate, key, "absorb", int64(msg.Version), 0)
-	return &wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: st.window.Bits()}, key
+	return &wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: c.rule.Window(st.p)}, key
 }
 
 // DropCopy voluntarily deallocates key — the placement policy decided
@@ -197,15 +169,12 @@ func (c *Client) absorbLocked(msg wire.Message) (*wire.Message, string) {
 func (c *Client) DropCopy(key string) bool {
 	c.mu.Lock()
 	st, ok := c.items[key]
-	if !ok || !st.hasCopy {
+	if !ok || !st.has {
 		c.mu.Unlock()
 		return false
 	}
-	st.hasCopy = false
-	out := wire.Message{Kind: wire.KindDeleteReq, Key: key}
-	if st.mode.Kind == ModeSW {
-		out.Window = st.window.Bits()
-	}
+	st.has = false
+	out := wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: c.rule.Window(st.p)}
 	c.cache.Drop(key)
 	drop := c.dropFn
 	c.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -112,7 +111,7 @@ func (c *Client) Disconnect() {
 	c.link = nil
 	// Drop all cached copies and allocation state.
 	for key, st := range c.items {
-		if st.hasCopy {
+		if st.has {
 			c.cache.Drop(key)
 		}
 	}
@@ -198,7 +197,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	c.link = link
 	var keys []string
 	for key, st := range c.items {
-		if st.hasCopy {
+		if st.has {
 			keys = append(keys, key)
 		}
 	}
@@ -289,7 +288,7 @@ func (c *Client) onResyncResp(b wire.Batch) {
 	}
 	for _, e := range b.Entries {
 		st, ok := c.items[e.Key]
-		if !ok || !st.hasCopy {
+		if !ok || !st.has {
 			continue
 		}
 		if e.NotModified {
@@ -308,28 +307,16 @@ func (c *Client) onResyncResp(b wire.Batch) {
 			// entry can ride to the handler as-is.
 			applied = append(applied, db.Item{Key: e.Key, Value: e.Value, Version: e.Version})
 		}
-		if st.mode.Kind != ModeSW {
-			continue
-		}
 		// Every write missed while away counts toward the window, just
-		// as if the propagations had arrived one by one — capped at K,
-		// beyond which older pushes would have slid out anyway.
-		missed := int(e.Version - cur.Version)
-		if missed > st.mode.K {
-			missed = st.mode.K
-		}
-		for i := 0; i < missed; i++ {
-			st.window.Push(sched.Write)
-		}
-		if !st.window.ReadMajority() {
+		// as if the propagations had arrived one by one.
+		if !st.writes(&c.rule, e.Version-cur.Version) {
 			// The outage turned the mix write-heavy: deallocate, handing
 			// the window back to the SC.
-			st.hasCopy = false
 			c.cache.Drop(e.Key)
 			mDeallocs.Inc()
 			obsTr.Record(obs.EvDeallocate, e.Key, "resync", int64(e.Version), 0)
 			dealloc = append(dealloc, wire.Message{
-				Kind: wire.KindDeleteReq, Key: e.Key, Window: st.window.Bits(),
+				Kind: wire.KindDeleteReq, Key: e.Key, Window: c.rule.Window(st.p),
 			})
 		}
 	}

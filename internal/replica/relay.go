@@ -2,7 +2,6 @@ package replica
 
 import (
 	"mobirep/internal/db"
-	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
 
@@ -112,13 +111,10 @@ func (ss *Session) prepareInvalidate(key string) bool {
 		return false
 	}
 	st, ok := ss.items[key]
-	if !ok || !st.hasCopy {
+	if !ok || !st.has {
 		return false
 	}
-	st.hasCopy = false
-	if st.mode.Kind == ModeSW {
-		st.window.Fill(sched.Write)
-	}
+	st.revoke(&ss.srv.rule)
 	return true
 }
 

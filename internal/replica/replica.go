@@ -11,6 +11,13 @@
 // copy, and the window bits ride the allocation read-response and the
 // deallocation delete-request — the piggybacking the paper describes.
 //
+// Each side keeps one packed per-key state (core.Packed) and steps it
+// with the core.Rule its Mode names — the same branch-free step the
+// simulator's kernels and the tree's placement tables run — so the
+// protocol, the simulator and the tree cannot disagree on a rule.
+// Rule.Window and Rule.LoadWindow turn the packed window into the
+// oldest-first schedule the wire carries and back.
+//
 // Per-message accounting mirrors internal/cost exactly: ReadReq and
 // DeleteReq are control messages, ReadResp and WriteProp are data
 // messages, and connections are counted per the connection model. The E13
@@ -30,7 +37,7 @@ import (
 type Mode struct {
 	// Kind selects the algorithm family.
 	Kind ModeKind
-	// K is the window size for ModeSW; it must be odd and positive.
+	// K is the window size for ModeSW; it must be odd, in [1, 63].
 	K int
 }
 
@@ -57,22 +64,32 @@ func Static1() Mode { return Mode{Kind: ModeStatic1} }
 // Static2 returns the ST2 mode.
 func Static2() Mode { return Mode{Kind: ModeStatic2} }
 
-// Validate reports whether the mode is well-formed (e.g. an odd positive
-// window size for ModeSW). NewServer and NewClient call it; CLI parsers
+// Validate reports whether the mode is well-formed (e.g. an odd window
+// size in [1, 63] for ModeSW). NewServer and NewClient call it; CLI parsers
 // use it to reject bad modes before wiring anything up.
 func (m Mode) Validate() error { return m.validate() }
 
 func (m Mode) validate() error {
+	_, err := m.rule()
+	return err
+}
+
+// rule returns the packed allocation rule the mode runs (core.Rule), or
+// an error when the mode is malformed. SW windows stop at 63, the widest
+// odd window one packed uint64 holds.
+func (m Mode) rule() (core.Rule, error) {
 	switch m.Kind {
 	case ModeSW:
-		if m.K <= 0 || m.K%2 == 0 {
-			return fmt.Errorf("replica: SW window size %d must be odd and positive", m.K)
+		if m.K <= 0 || m.K%2 == 0 || m.K > 63 {
+			return core.Rule{}, fmt.Errorf("replica: SW window size %d must be odd, positive and at most 63", m.K)
 		}
-	case ModeStatic1, ModeStatic2:
-	default:
-		return fmt.Errorf("replica: unknown mode kind %d", m.Kind)
+		return core.NewRule(core.RuleSW, m.K)
+	case ModeStatic1:
+		return core.NewRule(core.RuleST1, 0)
+	case ModeStatic2:
+		return core.NewRule(core.RuleST2, 0)
 	}
-	return nil
+	return core.Rule{}, fmt.Errorf("replica: unknown mode kind %d", m.Kind)
 }
 
 // String renders the mode like the policy names ("SW5", "ST1", "ST2").
@@ -193,21 +210,112 @@ func (s MeterSnapshot) ConnectionCost() float64 {
 	return float64(s.Connections)
 }
 
-// itemState is the per-(client, key) protocol state shared in shape by
-// both sides; each side keeps its own copy and the inCharge invariant says
-// exactly one of them trusts its window.
+// itemState is one side's protocol state for one (client, key): the
+// packed allocation state under the side's rule and the copy bit. Only
+// the side in charge (see the package doc) steps a live state.
+//
+// The copy bit stays apart from p.Hold, the rule's own verdict: the
+// allocation gate can refuse a copy the rule grants, ST2's rule holds
+// from the start but nothing is placed before the first read, and lost
+// frames leave the two sides apart until the protocol repairs it. The
+// rule's Has output decides; has records what the wire granted.
 type itemState struct {
-	mode Mode
-	// window is meaningful only while this side is in charge.
-	window *core.Window
-	// hasCopy mirrors whether the MC holds a copy, from this side's view.
-	hasCopy bool
+	p   core.Packed
+	has bool
+	// servedAt is, on the SC, the store version the current allocation
+	// was served at. A DeleteReq the MC re-asserts on a WriteProp carries
+	// that write's version; one not above servedAt answers an older
+	// allocation and must not revoke this one.
+	servedAt uint64
 }
 
-func newItemState(mode Mode) *itemState {
-	st := &itemState{mode: mode}
-	if mode.Kind == ModeSW {
-		st.window = core.NewWindow(mode.K, sched.Write)
+func newItemState(r *core.Rule) *itemState { return &itemState{p: r.Initial()} }
+
+// localRead slides the MC's state by a read served from its copy.
+func (st *itemState) localRead(r *core.Rule) { st.p, _ = r.Step(st.p, false) }
+
+// remoteRead slides the SC's state by a remote read and reports whether
+// the rule places a copy (Session.serveRead consults the allocation gate
+// and allocates). A ReadReq while the MC holds a copy is a stale race:
+// it is served without touching allocation.
+func (st *itemState) remoteRead(r *core.Rule) bool {
+	if st.has {
+		return false
 	}
-	return st
+	var idx core.StepIndex
+	st.p, idx = r.Step(st.p, false)
+	return idx&core.IndexHas != 0
+}
+
+// resubscribe re-asserts a copy the MC declared on a warm resync, now at
+// version v. The rule's Hold follows the copy so SW1's suppression sees
+// a held copy on the next write.
+func (st *itemState) resubscribe(v uint64) {
+	st.has, st.servedAt, st.p.Hold = true, v, 1
+}
+
+// scWrite runs the SC side of a write and reports what to send: nothing
+// while the SC is in charge (the write only slides its state), the
+// WriteProp while the MC holds a copy, or under SW1 the bare DeleteReq
+// that revokes the copy without shipping data (IndexSuppressed). Only
+// the suppressed step keeps the stepped state: otherwise the MC is in
+// charge and the SC's state waits for the window to come back.
+func (st *itemState) scWrite(r *core.Rule) sendClass {
+	p, idx := r.Step(st.p, true)
+	switch {
+	case !st.has:
+		st.p = p
+	case idx&core.IndexSuppressed != 0:
+		st.p, st.has = p, false
+		return control
+	default:
+		return data
+	}
+	return none
+}
+
+// adopt installs the window that rode an allocation at the MC, which now
+// holds the copy and is in charge. A window of the wrong size means a
+// buggy server: assume all reads, which the next requests wash out.
+func (st *itemState) adopt(r *core.Rule, window sched.Schedule) {
+	p, err := r.LoadWindow(st.p, window)
+	if err != nil {
+		p = core.Packed{}
+	}
+	p.Hold = 1
+	st.p, st.has = p, true
+}
+
+// release ends the MC's charge on a DeleteReq: the SC takes the copy bit
+// down and, when the window is well-formed, adopts it. A re-asserted
+// DeleteReq (version != 0) not above servedAt answers an older
+// allocation and is ignored, as is one for a copy already gone.
+func (st *itemState) release(r *core.Rule, window sched.Schedule, version uint64) {
+	if !st.has || (version != 0 && version <= st.servedAt) {
+		return
+	}
+	st.has = false
+	if p, err := r.LoadWindow(st.p, window); err == nil {
+		st.p = p
+	}
+}
+
+// revoke drops the copy with the window reset to the rule's initial
+// state, as after an SC-initiated DeleteReq.
+func (st *itemState) revoke(r *core.Rule) { st.p, st.has = r.Initial(), false }
+
+// writes slides the MC's state by n writes to its copy — one propagated
+// write, or the writes a resync or a late read answer reveals — capped
+// at 64, the widest packed window, beyond which older writes would have
+// slid out anyway. It reports whether the copy stays; when it does not,
+// the copy bit is down and the caller hands the window back.
+func (st *itemState) writes(r *core.Rule, n uint64) bool {
+	keep := true
+	for i := uint64(0); i < min(n, 64); i++ {
+		var idx core.StepIndex
+		st.p, idx = r.Step(st.p, true)
+		keep = idx&core.IndexHas != 0
+	}
+	st.has = keep
+	return keep
 }

@@ -51,14 +51,15 @@ func TestModeString(t *testing.T) {
 }
 
 // TestParseMode: ParseMode inverts Mode.String on every valid mode and
-// rejects malformed names and invalid window sizes.
+// rejects malformed names and invalid window sizes (even, zero, or wider
+// than the 63 a packed window holds).
 func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {
 		in string
 		ok bool
 	}{
-		{"ST1", true}, {"ST2", true}, {"SW1", true}, {"SW9", true},
-		{"", false}, {"SW4", false}, {"SW0", false}, {"sw9", false}, {"SW9x", false}, {"XX", false},
+		{"ST1", true}, {"ST2", true}, {"SW1", true}, {"SW9", true}, {"SW63", true},
+		{"", false}, {"SW4", false}, {"SW0", false}, {"SW65", false}, {"sw9", false}, {"SW9x", false}, {"XX", false},
 	} {
 		m, err := ParseMode(tc.in)
 		switch {

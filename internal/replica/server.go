@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
 	"mobirep/internal/sched"
@@ -21,7 +22,7 @@ import (
 // takes no server-wide lock.
 type Server struct {
 	store  *db.Store
-	mode   Mode
+	rule   core.Rule // the allocation rule every key runs, from the Mode
 	now    atomic.Pointer[func() time.Time]
 	shards []*shard
 	nextID atomic.Uint64
@@ -89,7 +90,8 @@ func NewServer(store *db.Store, mode Mode) (*Server, error) {
 // reproduces the old single-lock server's scheduling exactly; more
 // shards split sessions into independent single-writer domains.
 func NewServerShards(store *db.Store, mode Mode, shards int) (*Server, error) {
-	if err := mode.validate(); err != nil {
+	rule, err := mode.rule()
+	if err != nil {
 		return nil, err
 	}
 	if shards == 0 {
@@ -98,7 +100,7 @@ func NewServerShards(store *db.Store, mode Mode, shards int) (*Server, error) {
 	if !validShardCount(shards) {
 		return nil, fmt.Errorf("replica: shard count %d is not a power of two in [1, 4096]", shards)
 	}
-	s := &Server{store: store, mode: mode, shards: make([]*shard, shards)}
+	s := &Server{store: store, rule: rule, shards: make([]*shard, shards)}
 	for i := range s.shards {
 		s.shards[i] = newShard(i)
 	}
@@ -378,7 +380,7 @@ func encodePooled(msg wire.Message) *wire.Buf {
 func (ss *Session) state(key string) *itemState {
 	st, ok := ss.items[key]
 	if !ok {
-		st = newItemState(ss.srv.mode)
+		st = newItemState(&ss.srv.rule)
 		// Inserting a map key retains its bytes, and key may alias a
 		// borrowed frame (wire.DecodeBorrowed); clone so the session never
 		// keeps transport memory alive.
@@ -390,7 +392,7 @@ func (ss *Session) state(key string) *itemState {
 		// outlive every session).
 		if !ss.detached {
 			ss.shard.subscribe(k, ss)
-			cost := itemMemCost(k, ss.srv.mode)
+			cost := itemMemCost(k)
 			ss.memBytes += cost
 			ss.shard.addMem(cost)
 		}
@@ -406,34 +408,7 @@ func (ss *Session) prepareLocalWrite(it db.Item) sendClass {
 	if ss.detached {
 		return none
 	}
-	st := ss.state(it.Key)
-	switch st.mode.Kind {
-	case ModeStatic1:
-		// Never a copy at the MC: the write is free.
-	case ModeStatic2:
-		if st.hasCopy {
-			return data
-		}
-	default:
-		switch {
-		case !st.hasCopy:
-			// SC is in charge; the write is free of communication.
-			st.window.Push(sched.Write)
-		case st.mode.K == 1:
-			// SW1 optimization: the window after this write is the single
-			// write, so the copy is certainly dropped; send only the
-			// delete-request, never the data.
-			st.hasCopy = false
-			st.window.Fill(sched.Write)
-			return control
-		default:
-			// k > 1: propagate; the MC is in charge and will deallocate
-			// if the window turns write-majority, sending back a
-			// DeleteReq that rides this write's connection.
-			return data
-		}
-	}
-	return none
+	return ss.state(it.Key).scWrite(&ss.srv.rule)
 }
 
 // sendClass marks what, if anything, a protocol step must transmit.
@@ -536,35 +511,24 @@ func (ss *Session) finishReadReq(key string, it db.Item) {
 		sh.exit()
 		return
 	}
-	st := ss.state(key)
 	resp := wire.Message{
 		Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version,
 	}
-	switch st.mode.Kind {
-	case ModeStatic1:
-		// Never allocate.
-	case ModeStatic2:
-		// Always allocate on first contact.
-		if !st.hasCopy && ss.allocAllowed(key) {
-			resp.Allocate = true
-			st.hasCopy = true
-		}
-	default:
-		if !st.hasCopy {
-			st.window.Push(sched.Read)
-			if st.window.ReadMajority() && ss.allocAllowed(key) {
-				// Allocate: piggyback the save indication and the window;
-				// the MC takes charge.
-				resp.Allocate = true
-				resp.Window = st.window.Bits()
-				st.hasCopy = true
-			}
-		}
-		// A ReadReq while the MC holds a copy would be a stale race;
-		// serve the value without changing allocation.
-	}
+	resp.Allocate, resp.Window = ss.serveRead(key, it.Version)
 	sh.exit()
 	ss.sendData(resp)
+}
+
+// serveRead runs the SC side of a remote read of key, served at version
+// v: slide the state and, when the rule places a copy and the allocation
+// gate agrees, allocate — the save indication and the window ride the
+// response and the MC takes charge. Caller holds the shard token.
+func (ss *Session) serveRead(key string, v uint64) (bool, sched.Schedule) {
+	if st := ss.state(key); st.remoteRead(&ss.srv.rule) && ss.allocAllowed(key) {
+		st.has, st.servedAt = true, v
+		return true, ss.srv.rule.Window(st.p)
+	}
+	return false, nil
 }
 
 // allocAllowed consults the allocation gate; nil (no relay) always
@@ -576,7 +540,8 @@ func (ss *Session) allocAllowed(key string) bool {
 }
 
 // onDeleteReq runs the SC side of an MC-initiated deallocation: take the
-// window back and stop propagating.
+// window back and stop propagating (itemState.release, which also
+// ignores duplicates and stale re-asserts).
 func (ss *Session) onDeleteReq(msg wire.Message) {
 	ss.shard.enter()
 	defer ss.shard.exit()
@@ -585,18 +550,7 @@ func (ss *Session) onDeleteReq(msg wire.Message) {
 		// state (and a key-index entry) for a session already torn down.
 		return
 	}
-	st := ss.state(msg.Key)
-	if !st.hasCopy {
-		return // stale duplicate
-	}
-	st.hasCopy = false
-	if st.mode.Kind == ModeSW && st.window != nil && len(msg.Window) == st.mode.K {
-		// Adopt the window the MC maintained while in charge.
-		if err := st.window.LoadBits(msg.Window); err != nil {
-			// Impossible given the length check; keep the local window.
-			_ = err
-		}
-	}
+	ss.state(msg.Key).release(&ss.srv.rule, msg.Window, msg.Version)
 }
 
 // sendData encodes and transmits a data message through a pooled buffer:
